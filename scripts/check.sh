@@ -53,9 +53,14 @@
 #      health layer is an optimization, never a correctness dependency;
 #  11. the sharded-layer gate: the ShardedMap linearizability campaign
 #      under TSan (router + k-way merge + per-shard EBR domains, every
-#      access instrumented) plus the shards=1 degenerate-equivalence
-#      tests from the default build — the scale-out layer must be both
-#      race-free at 4 shards and provably free at 1;
+#      access instrumented) with its composite-snapshot arm (bounded
+#      per-shard snapshot cursors through the whole-scan checker; the
+#      sharded torn-snapshot control rides in stage 4), plus the shards=1
+#      degenerate-equivalence tests from the default build — the
+#      scale-out layer must be both race-free at 4 shards and provably
+#      free at 1; then perfbench's own tests (smoke run of all three
+#      workloads + both negative controls), so a library change that
+#      breaks the benchmark's build or its correctness gate fails here;
 #  12. the LOT_MVCC=OFF build (build-nomvcc/): the non-stress suite with
 #      the version layer compiled out (the ordered-api static_asserts
 #      prove the MVCC types collapse to empty and snapshot() vanishes
@@ -162,6 +167,7 @@ ctest --preset tsan -R 'LoShardStress' || fail "tsan sharded stress"
 # explicit re-run makes the acceptance criterion a named gate).
 (cd build && ctest --output-on-failure -R 'SingleShardEquivalence') \
   || fail "shards=1 degenerate equivalence"
+python3 perfbench/test_perfbench.py || fail "perfbench smoke + negative controls"
 
 echo "== stage 12/12: LOT_MVCC=OFF build + test =="
 cmake -B build-nomvcc -S . -DLOT_MVCC=OFF >/dev/null \

@@ -548,13 +548,15 @@ class LoCore {
       return Cursor(collect(nullptr, nullptr, obs::tls()));
     }
 
-    /// Positioned start, mirroring the live cursor(lo): the descent is
-    /// paid for with an ordered-locate count, same as there.
-    Cursor cursor(const K& lo) const {
+    /// Cursor over [lo, hi) of the cut: one descent to lo (paid for with
+    /// an ordered-locate count, like the live cursor(lo)) plus the chain
+    /// walk up to hi — O(log n + keys in range), however large the map.
+    /// What ShardedMap::Snapshot::range opens once per shard.
+    Cursor cursor(const K& lo, const K& hi) const {
       if (map_ == nullptr) return Cursor({});
       const auto tc = obs::tls();
       tc.add(obs::Counter::kOrderedLocates);
-      return Cursor(collect(&lo, nullptr, tc));
+      return Cursor(collect(&lo, &hi, tc));
     }
 
     /// Drops the registry slot and the reclamation pin early (the

@@ -44,8 +44,15 @@ std::uint64_t this_thread_hash() {
 
 }  // namespace
 
-// Per-thread cache mapping domains to acquired records. Fixed-size linear
-// table: a thread realistically touches one or two domains.
+// Per-thread cache mapping domains to acquired records: a fixed linear
+// table, because a thread usually touches a handful of domains at a time.
+// It may touch many more over its life (sharded maps bring one domain per
+// shard, and tests build and drop maps in turn), so a miss on a full table
+// evicts: first an entry whose domain is gone, then an unpinned live one,
+// whose record goes back to its domain — the next guard there reacquires
+// one. A record the thread still pins cannot be released yet; if every
+// entry is pinned, the victim moves to `parked` and is released at the
+// first later miss that finds it unpinned (or at thread exit).
 struct TlsCache {
   static constexpr std::size_t kEntries = 8;
   struct Entry {
@@ -54,37 +61,70 @@ struct TlsCache {
     EbrDomain::Record* record = nullptr;
   };
   Entry entries[kEntries];
+  std::vector<Entry> parked;
+  std::size_t next_victim = 0;  // round-robin among evictable entries
 
   ~TlsCache() {
     // Release records back to their domains — but only for domains that
     // still exist.
     std::lock_guard<std::mutex> lock(registry_mutex());
-    for (auto& e : entries) {
-      if (e.domain != nullptr && live_domains().count(e.domain) > 0 &&
-          e.domain->uid_ == e.uid) {
-        e.domain->release_record_of_exiting_thread(e.record);
-      }
+    for (auto& e : entries) release_if_live(e);
+    for (auto& e : parked) release_if_live(e);
+  }
+
+  // Callers hold the registry mutex.
+  static bool live(const Entry& e) {
+    return live_domains().count(e.domain) > 0 && e.domain->uid_ == e.uid;
+  }
+  static void release_if_live(Entry& e) {
+    if (e.record != nullptr && live(e)) {
+      e.domain->release_record_of_exiting_thread(e.record);
     }
+    e.record = nullptr;
   }
 
   EbrDomain::Record*& slot_for(EbrDomain* d, std::uint64_t uid) {
     for (auto& e : entries) {
       if (e.domain == d && e.uid == uid) return e.record;
     }
+    Entry* victim = nullptr;
     for (auto& e : entries) {
       if (e.domain == nullptr || e.record == nullptr) {
-        e.domain = d;
-        e.uid = uid;
-        e.record = nullptr;
-        return e.record;
+        victim = &e;
+        break;
       }
     }
-    // A thread juggling more than kEntries domains: recycle the first slot.
-    // (Never happens in this codebase; documented limitation.)
-    entries[0].domain = d;
-    entries[0].uid = uid;
-    entries[0].record = nullptr;
-    return entries[0].record;
+    if (victim == nullptr) victim = &evict();
+    victim->domain = d;
+    victim->uid = uid;
+    victim->record = nullptr;
+    return victim->record;
+  }
+
+  // Full table: frees one entry, preferring a dead domain's (nothing to
+  // release) over an unpinned live one (released to its domain).
+  Entry& evict() {
+    std::lock_guard<std::mutex> lock(registry_mutex());
+    std::erase_if(parked, [](Entry& e) {
+      if (live(e) && e.record->guard_depth != 0) return false;
+      release_if_live(e);
+      return true;
+    });
+    for (auto& e : entries) {
+      if (!live(e)) return e;
+    }
+    for (std::size_t i = 0; i < kEntries; ++i) {
+      Entry& e = entries[(next_victim + i) % kEntries];
+      if (e.record->guard_depth == 0) {
+        next_victim = (next_victim + i + 1) % kEntries;
+        release_if_live(e);
+        return e;
+      }
+    }
+    Entry& e = entries[next_victim];
+    next_victim = (next_victim + 1) % kEntries;
+    parked.push_back(e);
+    return e;
   }
 };
 

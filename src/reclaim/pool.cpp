@@ -113,9 +113,12 @@ struct SizePool::Cache {
 };
 
 /// Per-thread map from (pool, uid) to the thread's adopted Cache — the
-/// pool-side twin of ebr.cpp's TlsCache, with the same fixed linear table
-/// and the same destructor contract: give the cache back, but only to a
-/// pool that still exists.
+/// pool-side twin of ebr.cpp's TlsCache, with the same fixed linear table,
+/// the same eviction order on a full-table miss (a dead pool's entry
+/// first, then a live one round-robin, its cache handed back to the pool
+/// for the next adopter) and the same destructor contract: give the cache
+/// back, but only to a pool that still exists. A cache is never in use
+/// across a miss, so unlike an EBR record no entry is ever pinned.
 struct PoolTls {
   static constexpr std::size_t kEntries = 8;
   struct Entry {
@@ -124,44 +127,51 @@ struct PoolTls {
     SizePool::Cache* cache = nullptr;
   };
   Entry entries[kEntries];
+  std::size_t next_victim = 0;
 
   ~PoolTls() {
     std::lock_guard<std::mutex> lock(registry_mutex());
-    for (auto& e : entries) {
-      if (e.pool != nullptr && e.cache != nullptr &&
-          live_pools().count(e.pool) > 0 && e.pool->uid_ == e.uid) {
-        e.pool->release_cache_of_exiting_thread(e.cache);
-      }
+    for (auto& e : entries) release_if_live(e);
+  }
+
+  // Callers hold the registry mutex.
+  static bool live(const Entry& e) {
+    return live_pools().count(e.pool) > 0 && e.pool->uid_ == e.uid;
+  }
+  static void release_if_live(Entry& e) {
+    if (e.cache != nullptr && live(e)) {
+      e.pool->release_cache_of_exiting_thread(e.cache);
     }
+    e.cache = nullptr;
   }
 
   SizePool::Cache*& slot_for(SizePool* p, std::uint64_t uid) {
     for (auto& e : entries) {
       if (e.pool == p && e.uid == uid) return e.cache;
     }
+    Entry* victim = nullptr;
     for (auto& e : entries) {
       if (e.pool == nullptr || e.cache == nullptr) {
-        e.pool = p;
-        e.uid = uid;
-        e.cache = nullptr;
-        return e.cache;
+        victim = &e;
+        break;
       }
     }
-    // A thread juggling more than kEntries pools: orphan slot 0's cache (if
-    // its pool is still alive) and recycle the slot. Never happens here —
-    // one pool per node type — but must not leak if it ever does.
-    {
-      std::lock_guard<std::mutex> lock(registry_mutex());
-      Entry& e = entries[0];
-      if (e.cache != nullptr && live_pools().count(e.pool) > 0 &&
-          e.pool->uid_ == e.uid) {
-        e.pool->release_cache_of_exiting_thread(e.cache);
-      }
+    if (victim == nullptr) victim = &evict();
+    victim->pool = p;
+    victim->uid = uid;
+    victim->cache = nullptr;
+    return victim->cache;
+  }
+
+  Entry& evict() {
+    std::lock_guard<std::mutex> lock(registry_mutex());
+    for (auto& e : entries) {
+      if (!live(e)) return e;
     }
-    entries[0].pool = p;
-    entries[0].uid = uid;
-    entries[0].cache = nullptr;
-    return entries[0].cache;
+    Entry& e = entries[next_victim];
+    next_victim = (next_victim + 1) % kEntries;
+    release_if_live(e);
+    return e;
   }
 
   SizePool::Cache* lookup(SizePool* p, std::uint64_t uid) {

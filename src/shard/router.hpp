@@ -50,23 +50,67 @@ constexpr std::size_t shard_of(const K& k, std::size_t nshards) {
       (nshards - 1));
 }
 
-/// Per-shard routing counters, one cacheline each so two shards' routing
-/// hot paths never false-share. Point ops (insert/erase/contains/get)
-/// count against the one shard they route to; ordered ops (min/max/
-/// for_each/range/first/last_in_range/cursor) touch every shard and count
-/// once per shard they enter. Relaxed monotonic telemetry, same contract
-/// as the obs counters.
-struct alignas(sync::kCacheLineSize) RouterShardStats {
-  std::atomic<std::uint64_t> point_ops{0};
-  std::atomic<std::uint64_t> ordered_ops{0};
-
-  void note_point() { point_ops.fetch_add(1, std::memory_order_relaxed); }
-  void note_ordered() { ordered_ops.fetch_add(1, std::memory_order_relaxed); }
-};
+/// Small dense per-thread number (0, 1, 2, ... in first-use order, never
+/// reused) for striping per-thread telemetry. The cache is trivially
+/// destructible, so the hot path is one TLS load and a compare.
+inline std::size_t thread_ordinal() {
+  static std::atomic<std::size_t> next{0};
+  thread_local std::size_t ordinal = static_cast<std::size_t>(-1);
+  if (ordinal == static_cast<std::size_t>(-1)) {
+    ordinal = next.fetch_add(1, std::memory_order_relaxed);
+  }
+  return ordinal;
+}
 
 struct RouterStatsSnapshot {
   std::uint64_t point_ops = 0;
   std::uint64_t ordered_ops = 0;
+};
+
+/// Routing counters for all `Shards` shards of one map, striped per
+/// thread. Point ops (insert/erase/contains/get) count against the one
+/// shard they route to; ordered ops (min/max/for_each/range/first/
+/// last_in_range/cursor/snapshot) touch every shard and count once per
+/// shard they enter.
+///
+/// Each thread writes only its own stripe (thread_ordinal() mod
+/// kStripes), a cacheline-aligned block holding every shard's counters,
+/// so a sharded point op touches no line another running thread writes —
+/// the same single-writer discipline as the obs counter shards. The add
+/// is still a relaxed fetch_add, not the obs layer's load+store: past
+/// kStripes threads two ordinals share a stripe, and the counts must stay
+/// exact. On a line the thread owns the RMW stays core-local. snapshot()
+/// sums the stripes: a lower bound mid-run, exact at quiescence.
+template <unsigned Shards>
+class RouterStats {
+ public:
+  static constexpr std::size_t kStripes = 16;
+
+  void note_point(std::size_t shard) {
+    mine().point_ops[shard].fetch_add(1, std::memory_order_relaxed);
+  }
+  void note_ordered(std::size_t shard) {
+    mine().ordered_ops[shard].fetch_add(1, std::memory_order_relaxed);
+  }
+
+  RouterStatsSnapshot snapshot(std::size_t shard) const {
+    RouterStatsSnapshot snap;
+    for (const Stripe& s : stripes_) {
+      snap.point_ops += s.point_ops[shard].load(std::memory_order_relaxed);
+      snap.ordered_ops += s.ordered_ops[shard].load(std::memory_order_relaxed);
+    }
+    return snap;
+  }
+
+ private:
+  struct alignas(sync::kCacheLineSize) Stripe {
+    std::atomic<std::uint64_t> point_ops[Shards] = {};
+    std::atomic<std::uint64_t> ordered_ops[Shards] = {};
+  };
+
+  Stripe& mine() { return stripes_[thread_ordinal() % kStripes]; }
+
+  Stripe stripes_[kStripes];
 };
 
 }  // namespace lot::shard

@@ -110,36 +110,36 @@ class ShardedMap {
   // ------------------------------------------------------------ point ops
 
   bool insert(const K& k, const V& v) {
-    ShardSlot& s = slot_for(k);
-    note_point(s);
-    return s.map.insert(k, v);
+    const std::size_t i = shard_of(k, Shards);
+    note_point(i);
+    return shards_[i]->map.insert(k, v);
   }
 
   bool erase(const K& k) {
-    ShardSlot& s = slot_for(k);
-    note_point(s);
-    return s.map.erase(k);
+    const std::size_t i = shard_of(k, Shards);
+    note_point(i);
+    return shards_[i]->map.erase(k);
   }
 
   bool contains(const K& k) const {
-    ShardSlot& s = slot_for(k);
-    note_point(s);
-    return s.map.contains(k);
+    const std::size_t i = shard_of(k, Shards);
+    note_point(i);
+    return shards_[i]->map.contains(k);
   }
 
   std::optional<V> get(const K& k) const {
-    ShardSlot& s = slot_for(k);
-    note_point(s);
-    return s.map.get(k);
+    const std::size_t i = shard_of(k, Shards);
+    note_point(i);
+    return shards_[i]->map.get(k);
   }
 
   // ---------------------------------------------------------- ordered API
 
   std::optional<std::pair<K, V>> min() const {
     std::optional<std::pair<K, V>> best;
-    for (const auto& s : shards_) {
-      note_ordered(*s);
-      auto m = s->map.min();
+    for (std::size_t i = 0; i < Shards; ++i) {
+      note_ordered(i);
+      auto m = shards_[i]->map.min();
       if (m.has_value() &&
           (!best.has_value() || comp_(m->first, best->first))) {
         best = std::move(m);
@@ -150,9 +150,9 @@ class ShardedMap {
 
   std::optional<std::pair<K, V>> max() const {
     std::optional<std::pair<K, V>> best;
-    for (const auto& s : shards_) {
-      note_ordered(*s);
-      auto m = s->map.max();
+    for (std::size_t i = 0; i < Shards; ++i) {
+      note_ordered(i);
+      auto m = shards_[i]->map.max();
       if (m.has_value() &&
           (!best.has_value() || comp_(best->first, m->first))) {
         best = std::move(m);
@@ -164,9 +164,9 @@ class ShardedMap {
   std::optional<std::pair<K, V>> first_in_range(const K& lo,
                                                 const K& hi) const {
     std::optional<std::pair<K, V>> best;
-    for (const auto& s : shards_) {
-      note_ordered(*s);
-      auto m = s->map.first_in_range(lo, hi);
+    for (std::size_t i = 0; i < Shards; ++i) {
+      note_ordered(i);
+      auto m = shards_[i]->map.first_in_range(lo, hi);
       if (m.has_value() &&
           (!best.has_value() || comp_(m->first, best->first))) {
         best = std::move(m);
@@ -178,9 +178,9 @@ class ShardedMap {
   std::optional<std::pair<K, V>> last_in_range(const K& lo,
                                                const K& hi) const {
     std::optional<std::pair<K, V>> best;
-    for (const auto& s : shards_) {
-      note_ordered(*s);
-      auto m = s->map.last_in_range(lo, hi);
+    for (std::size_t i = 0; i < Shards; ++i) {
+      note_ordered(i);
+      auto m = shards_[i]->map.last_in_range(lo, hi);
       if (m.has_value() &&
           (!best.has_value() || comp_(best->first, m->first))) {
         best = std::move(m);
@@ -262,20 +262,19 @@ class ShardedMap {
       return views_[shard_of(k, Shards)].get(k);
     }
 
-    /// Ordered scan of [lo, hi) as of the cut: k-way merge over the
-    /// per-shard snapshot cursors, counted at this layer exactly like
-    /// the live sharded range (one kRangeOps, inner opens count their
-    /// own kOrderedLocates).
+    /// Ordered scan of [lo, hi) as of the cut: k-way merge over per-shard
+    /// snapshot cursors bounded to [lo, hi), so each shard resolves only
+    /// its in-range keys. Counted at this layer exactly like the live
+    /// sharded range (one kRangeOps, inner opens count their own
+    /// kOrderedLocates).
     template <typename F>
     void range(const K& lo, const K& hi, F&& fn) const {
       if (!comp_(lo, hi)) return;
       const auto tc = obs::tls();
       tc.add(obs::Counter::kRangeOps);
       std::uint64_t reported = 0;
-      SnapMerge merge = merge_from(lo);
+      SnapMerge merge = merge_between(lo, hi);
       while (auto kv = merge.next()) {
-        if (comp_(kv->first, lo)) continue;
-        if (!comp_(kv->first, hi)) break;
         fn(kv->first, kv->second);
         ++reported;
       }
@@ -306,10 +305,10 @@ class ShardedMap {
              std::uint64_t e, key_compare comp)
         : views_(std::move(views)), epoch_(e), comp_(std::move(comp)) {}
 
-    SnapMerge merge_from(const K& lo) const {
+    SnapMerge merge_between(const K& lo, const K& hi) const {
       std::vector<typename MapT::SnapshotView::Cursor> cursors;
       cursors.reserve(views_.size());
-      for (const auto& v : views_) cursors.push_back(v.cursor(lo));
+      for (const auto& v : views_) cursors.push_back(v.cursor(lo, hi));
       return SnapMerge(std::move(cursors), comp_);
     }
 
@@ -328,9 +327,9 @@ class ShardedMap {
   Snapshot snapshot() const {
     std::vector<std::uint64_t> tokens;
     tokens.reserve(Shards);
-    for (const auto& s : shards_) {
-      note_ordered(*s);
-      tokens.push_back(s->map.snapshot_reserve());
+    for (std::size_t i = 0; i < Shards; ++i) {
+      note_ordered(i);
+      tokens.push_back(shards_[i]->map.snapshot_reserve());
     }
     const std::uint64_t e = epoch_src_.now();
     std::vector<typename MapT::SnapshotView> views;
@@ -399,12 +398,10 @@ class ShardedMap {
   MapT& shard_map(std::size_t i) { return shards_[i]->map; }
   const MapT& shard_map(std::size_t i) const { return shards_[i]->map; }
 
+  /// Shard i's routing counters, summed over the per-thread stripes
+  /// (exact at quiescence).
   RouterStatsSnapshot shard_stats(std::size_t i) const {
-    const RouterShardStats& st = shards_[i]->stats;
-    RouterStatsSnapshot snap;
-    snap.point_ops = st.point_ops.load(std::memory_order_relaxed);
-    snap.ordered_ops = st.ordered_ops.load(std::memory_order_relaxed);
-    return snap;
+    return router_stats_.snapshot(i);
   }
 
   key_compare key_comp() const { return comp_; }
@@ -417,7 +414,6 @@ class ShardedMap {
     std::unique_ptr<reclaim::SizePool> pool;
     reclaim::EbrDomain domain;
     MapT map;
-    RouterShardStats stats;
 
     explicit ShardSlot(const key_compare& comp)
         : pool(make_pool()), map(domain, comp, make_alloc(pool.get())) {}
@@ -444,16 +440,12 @@ class ShardedMap {
 
   using Merge = KWayMerge<typename MapT::Cursor, K, V, key_compare>;
 
-  ShardSlot& slot_for(const K& k) const {
-    return *shards_[shard_of(k, Shards)];
-  }
-
   Merge merge_from_start() const {
     std::vector<typename MapT::Cursor> cursors;
     cursors.reserve(Shards);
-    for (const auto& s : shards_) {
-      note_ordered(*s);
-      cursors.push_back(s->map.cursor());
+    for (std::size_t i = 0; i < Shards; ++i) {
+      note_ordered(i);
+      cursors.push_back(shards_[i]->map.cursor());
     }
     return Merge(std::move(cursors), comp_);
   }
@@ -461,25 +453,26 @@ class ShardedMap {
   Merge merge_from(const K& lo) const {
     std::vector<typename MapT::Cursor> cursors;
     cursors.reserve(Shards);
-    for (const auto& s : shards_) {
-      note_ordered(*s);
-      cursors.push_back(s->map.cursor(lo));
+    for (std::size_t i = 0; i < Shards; ++i) {
+      note_ordered(i);
+      cursors.push_back(shards_[i]->map.cursor(lo));
     }
     return Merge(std::move(cursors), comp_);
   }
 
-  static void note_point(ShardSlot& s) {
-    if constexpr (obs::kEnabled) s.stats.note_point();
+  void note_point(std::size_t i) const {
+    if constexpr (obs::kEnabled) router_stats_.note_point(i);
   }
-  static void note_ordered(ShardSlot& s) {
-    if constexpr (obs::kEnabled) s.stats.note_ordered();
+  void note_ordered(std::size_t i) const {
+    if constexpr (obs::kEnabled) router_stats_.note_ordered(i);
   }
 
   key_compare comp_;
-  // unique_ptr, not ShardSlot by value: slots hold a whole map plus a
-  // cacheline-aligned stats block, and the vector must never relocate a
-  // live domain.
+  // unique_ptr, not ShardSlot by value: slots hold a whole map, and the
+  // vector must never relocate a live domain.
   std::vector<std::unique_ptr<ShardSlot>> shards_;
+  // Mutable: reads (contains/get/min/...) count too.
+  mutable RouterStats<Shards> router_stats_;
 #if !defined(LOT_DISABLE_MVCC)
   // Declared after shards_ so it outlives no shard during construction;
   // mutable because snapshot() is a read on a const map. Shards are

@@ -6,13 +6,16 @@
 // router and the ordered ops cross the k-way merge, while reclamation and
 // contention heat land in per-shard private domains.
 //
-// Also here: the shards=1 degenerate run (the acceptance criterion that
-// the scale-out layer is free when unused — the existing campaign shape
-// must pass unchanged through the wrapper) and exact obs reconciliation
-// for sharded scans (the shifted descent identity, see below).
+// Also here: a composite-snapshot arm (whole-scan atomicity of
+// ShardedMap::Snapshot::range across shard boundaries, DESIGN.md §16),
+// the shards=1 degenerate run (the acceptance criterion that the
+// scale-out layer is free when unused — the existing campaign shape must
+// pass unchanged through the wrapper) and exact obs reconciliation for
+// sharded scans (the shifted descent identity, see below).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 
 #include "check/perturb.hpp"
 #include "lo/avl.hpp"
@@ -39,16 +42,19 @@ static_assert(lot::check::kSchedulePerturb,
               "LOT_SCHEDULE_PERTURB (see tests/stress/CMakeLists.txt)");
 
 /// Sharded variant of expect_obs_reconciles: identical op accounting, but
-/// the descent identity shifts. A sharded range counts one kRangeOps at
-/// the router layer (no descent of its own) while each of the k inner
-/// cursor opens counts its real descent as kOrderedLocates — so
-/// `accounted - descents` is exactly the number of sharded scans, and the
-/// contains_restarts audit must come out at exactly -scans instead of 0.
-/// Still zero-tolerance: any read path restarting a descent breaks the
-/// equality just as it would break the == 0 form.
+/// the descent identity shifts. A sharded range — live or composite
+/// snapshot — counts one kRangeOps at the router layer (no descent of its
+/// own) while each of the k inner cursor opens counts its real descent as
+/// kOrderedLocates — so `accounted - descents` is exactly the number of
+/// sharded scans, and the contains_restarts audit must come out at exactly
+/// -scans instead of 0. Still zero-tolerance: any read path restarting a
+/// descent breaks the equality just as it would break the == 0 form. A
+/// composite snapshot adopts one view per shard, so acquires are exactly
+/// snapshot scans x shards.
 template <typename KeyT>
 void expect_sharded_obs_reconciles(
-    const lot::stress::StressOutcome<KeyT>& out, std::int64_t scan_len) {
+    const lot::stress::StressOutcome<KeyT>& out, std::int64_t scan_len,
+    unsigned shards) {
   if (!lot::obs::kEnabled) return;
   std::uint64_t ins = 0, ins_ok = 0, rem = 0, rem_ok = 0;
   std::uint64_t con = 0, con_ok = 0;
@@ -78,13 +84,23 @@ void expect_sharded_obs_reconciles(
   EXPECT_EQ(d(Counter::kInsertSuccess), ins_ok) << "insert successes";
   EXPECT_EQ(d(Counter::kEraseOps), rem) << "erase ops vs history";
   EXPECT_EQ(d(Counter::kEraseSuccess), rem_ok) << "erase successes";
+  const std::uint64_t snap_scans = out.scans.size();
+  std::uint64_t snap_keys = 0;
+  for (const auto& s : out.scans) snap_keys += s.present.size();
+  EXPECT_EQ(d(Counter::kSnapshotAcquires), snap_scans * shards)
+      << "per-shard views acquired vs recorded snapshot scans x shards";
+  ASSERT_GE(d(Counter::kRangeOps), snap_scans) << "range ops vs snapshots";
+  ASSERT_GE(d(Counter::kRangeKeysReported), snap_keys)
+      << "range keys vs snapshot observations";
   const std::uint64_t scans = d(Counter::kRangeOps);
+  const std::uint64_t weak_scans = scans - snap_scans;
   EXPECT_EQ(d(Counter::kContainsOps) +
-                scans * static_cast<std::uint64_t>(scan_len),
+                weak_scans * static_cast<std::uint64_t>(scan_len),
             con)
-      << "contains observations (point + " << scans << " scans x "
+      << "contains observations (point + " << weak_scans << " scans x "
       << scan_len << ") vs history";
-  EXPECT_EQ(d(Counter::kContainsHits) + d(Counter::kRangeKeysReported),
+  EXPECT_EQ(d(Counter::kContainsHits) + d(Counter::kRangeKeysReported) -
+                snap_keys,
             con_ok)
       << "contains hits + scan keys reported vs history true-reads";
   EXPECT_EQ(lot::obs::Snapshot::contains_restarts_between(out.obs_before,
@@ -122,7 +138,7 @@ TYPED_TEST(LoShardStress, PerturbedShardedChurnIsLinearizable) {
   const auto out = run_perturbed_stress(map, p);
   lot::stress::print_check_stats(TypeParam::name().data(), out);
   lot::stress::expect_linearizable(out);
-  expect_sharded_obs_reconciles(out, p.scan_len);
+  expect_sharded_obs_reconciles(out, p.scan_len, TypeParam::shard_count());
 
   // The campaign must have genuinely exercised the sharded reclamation
   // universes: every touched shard retired nodes into its OWN domain.
@@ -152,6 +168,52 @@ TYPED_TEST(LoShardStress, PerturbedShardedChurnIsLinearizable) {
     EXPECT_GT(lot::check::perturb_hits(PerturbPoint::kRotate), 0u);
   }
 }
+
+#if !defined(LOT_DISABLE_MVCC)
+// Composite snapshot scans through the router, each recorded as ONE
+// whole-scan observation and held to single-point atomicity
+// (check_snapshot_scans). key_range=320 covers five 64-key blocks — every
+// shard, shard 0 twice — and scan_len=80 exceeds a block, so every scan
+// merges bounded per-shard cursors across at least one shard boundary.
+// On the logical-removing variants purge_all storms unlink zombies under
+// the scans, so the per-shard limbo lists feed the bounded cursors too.
+TYPED_TEST(LoShardStress, PerturbedShardedSnapshotScansAreAtomic) {
+  TypeParam map;
+  StressParams p;
+  p.phases = 2;
+  p.ops_per_phase = scaled(3'000);
+  p.key_range = 320;
+  p.snapshot_pct = 15;  // erase share drops to 15
+  p.scan_len = 80;
+  p.check_heights = TypeParam::kBalanced;
+  p.partial = TypeParam::kLogicalRemoving;
+  if (TypeParam::kLogicalRemoving) p.purge_permille = 10;
+  const auto out = run_perturbed_stress(map, p);
+  lot::stress::print_check_stats(TypeParam::name().data(), out);
+  lot::stress::expect_linearizable(out);  // per-key AND whole-scan verdicts
+  expect_sharded_obs_reconciles(out, p.scan_len, TypeParam::shard_count());
+
+  ASSERT_GT(out.scans.size(), 0u) << "no snapshot scans recorded";
+  std::size_t straddling = 0;
+  for (const auto& s : out.scans) {
+    std::set<std::size_t> shards_hit;
+    for (const K k : s.present) {
+      shards_hit.insert(TypeParam::shard_index_of(k));
+    }
+    if (shards_hit.size() > 1) ++straddling;
+  }
+  EXPECT_GT(straddling, 0u) << "no snapshot scan reported keys of two shards";
+  // The composite snapshot is the only ordered op in this mix: it enters
+  // every shard exactly once per recorded scan.
+  if (lot::obs::kEnabled) {
+    for (unsigned i = 0; i < TypeParam::shard_count(); ++i) {
+      EXPECT_EQ(map.shard_stats(i).ordered_ops, out.scans.size())
+          << "shard " << i;
+    }
+  }
+  EXPECT_GT(lot::check::perturb_hits(PerturbPoint::kRangeStep), 0u);
+}
+#endif  // !LOT_DISABLE_MVCC
 
 // The degenerate configuration: shards=1 behind the router must pass the
 // exact acceptance campaign the unsharded tree passes (mixed churn, three

@@ -16,7 +16,12 @@
 
 #include <cstdint>
 
+#include "lo/avl.hpp"
 #include "lo/partial.hpp"
+// Must precede stress_common.hpp (see stress_lo_shards.cpp): the harness's
+// lo::validate call needs the per-shard overload in scope.
+#include "shard/validate.hpp"
+#include "shard/sharded_map.hpp"
 #include "stress_common.hpp"
 
 #if !defined(LOT_INJECT_BUG) || LOT_INJECT_BUG != 3
@@ -33,30 +38,17 @@ using lot::stress::run_perturbed_stress;
 using lot::stress::scaled;
 using lot::stress::StressParams;
 
-TEST(TornSnapshot, WholeScanCheckerRejectsEpochSkippingRead) {
-  // Snapshot-heavy churn over a small hot range: with writes landing
-  // between a view's first and second resolution nearly every scan, the
-  // injected epoch skip produces observation vectors no single instant
-  // explains. Each attempt is an independent seed; the tear needs a write
-  // in the right window, so allow a few runs before declaring the
-  // checker blind.
+/// Runs seeded attempts of a snapshot-heavy campaign over a hot range and
+/// passes iff the whole-scan checker rejects one of them — while every
+/// attempt's point-op history stays linearizable. Each attempt is an
+/// independent seed; the tear needs a write in the right window, so allow
+/// a few runs before declaring the checker blind.
+template <typename MapT>
+void expect_torn_snapshot_rejected(StressParams p) {
   constexpr int kAttempts = 5;
   for (int attempt = 0; attempt < kAttempts; ++attempt) {
-    lot::lo::PartialAvlMap<K, K> map;
-    StressParams p;
-    p.threads = 8;
-    p.phases = 1;
-    p.ops_per_phase = scaled(6'000);
-    p.key_range = 48;
-    p.contains_pct = 10;
-    p.insert_pct = 35;
-    p.snapshot_pct = 30;  // erase share 25
-    p.scan_len = 12;
-    p.fire_permille = 80;
-    p.max_sleep_us = 100;
+    MapT map;
     p.seed = 3000 + static_cast<std::uint64_t>(attempt);
-    p.check_heights = true;
-    p.partial = true;
     const auto out = run_perturbed_stress(map, p);
     // The injected bug lives entirely in snapshot resolution: the live
     // ops' per-key history must still linearize, or the control proves
@@ -79,6 +71,48 @@ TEST(TornSnapshot, WholeScanCheckerRejectsEpochSkippingRead) {
          << " histories from the epoch-skipping snapshot reader — either "
             "the injected tear never fired or the feasibility "
             "intersection cannot see cross-key violations";
+}
+
+TEST(TornSnapshot, WholeScanCheckerRejectsEpochSkippingRead) {
+  // Snapshot-heavy churn over a small hot range: with writes landing
+  // between a view's first and second resolution nearly every scan, the
+  // injected epoch skip produces observation vectors no single instant
+  // explains.
+  StressParams p;
+  p.threads = 8;
+  p.phases = 1;
+  p.ops_per_phase = scaled(6'000);
+  p.key_range = 48;
+  p.contains_pct = 10;
+  p.insert_pct = 35;
+  p.snapshot_pct = 30;  // erase share 25
+  p.scan_len = 12;
+  p.fire_permille = 80;
+  p.max_sleep_us = 100;
+  p.check_heights = true;
+  p.partial = true;
+  expect_torn_snapshot_rejected<lot::lo::PartialAvlMap<K, K>>(p);
+}
+
+// The same control through the composite snapshot: every shard's view
+// tears at its own second resolution, and the router's bounded per-shard
+// cursors must not hide it. The hot range [0, 96) spans the 64-key block
+// boundary between shards 0 and 1, so scans merge two torn views.
+TEST(TornSnapshot, ShardedWholeScanCheckerRejectsEpochSkippingRead) {
+  StressParams p;
+  p.threads = 8;
+  p.phases = 1;
+  p.ops_per_phase = scaled(6'000);
+  p.key_range = 96;
+  p.contains_pct = 10;
+  p.insert_pct = 35;
+  p.snapshot_pct = 30;  // erase share 25
+  p.scan_len = 24;
+  p.fire_permille = 80;
+  p.max_sleep_us = 100;
+  p.check_heights = true;
+  expect_torn_snapshot_rejected<
+      lot::shard::ShardedMap<lot::lo::AvlMap<K, K>, 4>>(p);
 }
 
 }  // namespace

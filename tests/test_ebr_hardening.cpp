@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -285,6 +286,45 @@ TEST(EbrHardening, OversubscriptionGrowsPoolInsteadOfAborting) {
   for (auto& th : threads) th.join();
   domain.flush();
   domain.flush();
+  EXPECT_EQ(Tracked::live.load(), 0);
+}
+
+// The per-thread record cache holds 8 domains. A thread juggling more
+// must evict, and eviction must never release a record the thread still
+// pins (an outer guard would then run unprotected), nor leak one: a
+// pinned victim is parked and released at a later miss once unpinned.
+TEST(EbrHardening, TlsCacheEvictionKeepsPinsAndReleasesRecords) {
+  std::thread([] {
+    constexpr std::size_t kDomains = 12;  // more than the cache holds
+    std::vector<std::unique_ptr<EbrDomain>> domains;
+    for (std::size_t i = 0; i < kDomains; ++i) {
+      domains.push_back(std::make_unique<EbrDomain>());
+    }
+    {
+      std::vector<EbrDomain::Guard> guards;
+      for (auto& d : domains) guards.push_back(d->guard());
+      for (std::size_t i = 0; i < kDomains; ++i) {
+        const auto s = domains[i]->stats();
+        EXPECT_NE(s.min_pinned_epoch, 0u) << "domain " << i << " lost its pin";
+        EXPECT_EQ(s.records_in_use, 1u) << "domain " << i;
+      }
+    }
+    // Unpinned now. Cycling through every domain again evicts and
+    // re-acquires; parked records go back, so no domain ends up holding
+    // two records for this one thread.
+    for (int round = 0; round < 3; ++round) {
+      for (auto& d : domains) {
+        auto g = d->guard();
+        d->retire(new Tracked());
+      }
+    }
+    for (std::size_t i = 0; i < kDomains; ++i) {
+      const auto s = domains[i]->stats();
+      EXPECT_LE(s.records_in_use, 1u) << "domain " << i;
+      EXPECT_EQ(s.pool_growths, 0u) << "domain " << i;
+      EXPECT_EQ(s.min_pinned_epoch, 0u) << "domain " << i;
+    }
+  }).join();
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 

@@ -21,6 +21,7 @@
 #include "lo/mvcc.hpp"
 #include "lo/partial.hpp"
 #include "lo/validate.hpp"
+#include "obs/obs.hpp"
 #include "shard/sharded_map.hpp"
 #include "util/random.hpp"
 
@@ -735,6 +736,51 @@ TEST(ShardedSnapshotTest, ComposesOneCutAcrossShards) {
   // All four shards share the one clock the composition relies on.
   for (unsigned i = 0; i < Sharded::shard_count(); ++i) {
     EXPECT_EQ(&m.shard_map(i).epoch_source(), &m.epoch_source());
+  }
+}
+
+// Cost pin for the bounded composite scan: a snapshot range over [lo, hi)
+// resolves only the chain nodes inside it, however large the shards are.
+// Every key but two is inserted AFTER the cut, so each resolved chain node
+// falls through to its version chain and counts one kVersionChainWalks —
+// the counter delta of one range is exactly the in-range nodes it touched.
+// The two keys alive at the cut are erased afterwards and park in limbo:
+// the one below hi must be reported, the one at hi must not.
+std::uint64_t bounded_snapshot_scan_walks(K n_keys) {
+  using Sharded = lot::shard::ShardedMap<AvlMap<K, V>, 4>;
+  constexpr K kLo = 1000, kHi = kLo + 128;  // crosses two block boundaries
+  constexpr K kParkedIn = kLo + 5, kParkedOut = kHi;
+  Sharded m;
+  EXPECT_TRUE(m.insert(kParkedIn, kParkedIn));
+  EXPECT_TRUE(m.insert(kParkedOut, kParkedOut));
+  const auto snap = m.snapshot();
+  for (K k = 0; k < n_keys; ++k) {
+    if (k != kParkedIn && k != kParkedOut) EXPECT_TRUE(m.insert(k, k));
+  }
+  EXPECT_TRUE(m.erase(kParkedIn));
+  EXPECT_TRUE(m.erase(kParkedOut));
+
+  const auto walks = [] {
+    return lot::obs::Registry::instance().snapshot().counter(
+        lot::obs::Counter::kVersionChainWalks);
+  };
+  const std::uint64_t before = walks();
+  std::vector<std::pair<K, V>> got;
+  snap.range(kLo, kHi, [&](K k, V v) { got.emplace_back(k, v); });
+  const std::uint64_t delta = walks() - before;
+
+  EXPECT_EQ(got, (std::vector<std::pair<K, V>>{{kParkedIn, kParkedIn}}))
+      << "limbo below hi must be reported, limbo at hi must not";
+  return delta;
+}
+
+TEST(ShardedSnapshotTest, BoundedRangeCostIsIndependentOfMapSize) {
+  const std::uint64_t small = bounded_snapshot_scan_walks(2'000);
+  const std::uint64_t large = bounded_snapshot_scan_walks(200'000);
+  if (lot::obs::kEnabled) {
+    // 128 keys in [lo, hi), one of them erased off the chain.
+    EXPECT_EQ(small, 127u);
+    EXPECT_EQ(large, small) << "the scan's cost grew with the map";
   }
 }
 

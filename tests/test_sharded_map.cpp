@@ -368,4 +368,82 @@ TEST(ShardedMapConcurrent, MergedScanStaysSortedUnderChurn) {
   for (auto& w : writers) w.join();
 }
 
+// Router telemetry is striped per thread (router.hpp), so the counts have
+// to survive the merge of stripes: 4 threads route a known op tape plus
+// composite snapshots concurrently, and every shard's point/ordered count
+// must come out exact at quiescence.
+TEST(ShardedMapConcurrent, RouterCountsStayExactUnderConcurrency) {
+  if (!lot::obs::kEnabled) GTEST_SKIP() << "router stats are obs-gated";
+  using Sharded = ShardedMap<AvlMap<K, V>, 4>;
+  Sharded m;
+  constexpr unsigned kThreads = 4;
+  constexpr int kOps = 20000;
+  constexpr int kSnapshotEvery = 100;
+  std::uint64_t routed[kThreads][Sharded::shard_count()] = {};
+  std::uint64_t snapshots[kThreads] = {};
+  std::vector<std::thread> workers;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      Xoshiro256 rng(0xC0FFEE + t);
+      for (int i = 0; i < kOps; ++i) {
+        const K k = static_cast<K>(rng.next_below(1024));
+        ++routed[t][Sharded::shard_index_of(k)];
+        switch (rng.next_below(4)) {
+          case 0: m.insert(k, k); break;
+          case 1: m.erase(k); break;
+          case 2: m.contains(k); break;
+          default: m.get(k); break;
+        }
+#if !defined(LOT_DISABLE_MVCC)
+        if (i % kSnapshotEvery == 0) {
+          const auto snap = m.snapshot();
+          snap.range(k, k + 96, [](const K&, const V&) {});
+          ++snapshots[t];
+        }
+#endif
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  std::uint64_t total_snapshots = 0;
+  for (unsigned t = 0; t < kThreads; ++t) total_snapshots += snapshots[t];
+  std::uint64_t ordered_sum = 0;
+  for (unsigned i = 0; i < Sharded::shard_count(); ++i) {
+    std::uint64_t expected = 0;
+    for (unsigned t = 0; t < kThreads; ++t) expected += routed[t][i];
+    const auto st = m.shard_stats(i);
+    EXPECT_EQ(st.point_ops, expected) << "shard " << i;
+    // A composite snapshot enters every shard once; its range does not
+    // count again (the views were opened by snapshot()).
+    EXPECT_EQ(st.ordered_ops, total_snapshots) << "shard " << i;
+    ordered_sum += st.ordered_ops;
+  }
+  EXPECT_EQ(ordered_sum, total_snapshots * Sharded::shard_count());
+}
+
+// Per-thread EBR records and pool caches live in small TLS tables. One
+// thread building, using and dropping sharded maps in turn touches far
+// more domains than the table holds; dead domains' entries must be
+// recycled (and live evictions released), or every guard on a new shard
+// acquires a fresh record and the record pool grows without bound.
+TEST(ShardedMapReclaim, OneThreadCyclingMapsKeepsOneRecordPerDomain) {
+  std::thread([] {
+    for (int round = 0; round < 12; ++round) {
+      ShardedMap<AvlMap<K, V>, 4> m;
+      for (K k = 0; k < 2048; ++k) ASSERT_TRUE(m.insert(k, k));
+      for (K k = 0; k < 2048; k += 3) EXPECT_TRUE(m.contains(k));
+      for (K k = 0; k < 2048; k += 2) ASSERT_TRUE(m.erase(k));
+      std::size_t seen = 0;
+      m.range(0, 2048, [&](const K&, const V&) { ++seen; });
+      EXPECT_EQ(seen, 1024u);
+      for (unsigned i = 0; i < m.shard_count(); ++i) {
+        const auto ds = m.shard_domain(i).stats();
+        EXPECT_EQ(ds.pool_growths, 0u) << "round " << round << " shard " << i;
+        EXPECT_LE(ds.records_in_use, 1u)
+            << "round " << round << " shard " << i;
+      }
+    }
+  }).join();
+}
+
 }  // namespace
