@@ -8,12 +8,15 @@
 // measured (e.g. the allocator ablation) is a single-digit percentage.
 // Pass --json=<path> to additionally dump every cell as one JSON row
 // (schema lot-bench-v1), which scripts/bench_snapshot.sh uses to commit
-// perf trajectories (BENCH_*.json).
+// perf trajectories (BENCH_*.json). Every finished cell also prints one
+// flushed progress line to stderr, so a hang names the cell it hangs in.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -33,7 +36,7 @@ struct TableConfig {
   std::uint64_t seed = 42;
   // --obs: per-cell telemetry column — sampled latency quantiles, restart
   // counters and the contains_restarts audit ride along in the table and
-  // the JSON rows. Requires an LOT_OBS=ON build to produce numbers.
+  // the JSON rows.
   bool obs = false;
   unsigned obs_sample = 64;  // --obs-sample=N: time 1 op in N
 
@@ -58,13 +61,26 @@ struct TableConfig {
     cfg.obs = cli.has("obs");
     cfg.obs_sample =
         static_cast<unsigned>(cli.get_int("obs-sample", cfg.obs_sample));
+    // A zero or negative count would divide by zero in the prefill split,
+    // wrap to a huge unsigned thread count, or report all-zero medians.
+    for (const auto t : cfg.threads) require_positive("threads", t);
+    for (const auto r : cfg.key_ranges) require_positive("ranges", r);
+    require_positive("repeats", cfg.repeats);
     return cfg;
+  }
+
+ private:
+  static void require_positive(const char* flag, std::int64_t v) {
+    if (v > 0) return;
+    std::fprintf(stderr, "--%s: every value must be > 0 (got %lld)\n", flag,
+                 static_cast<long long>(v));
+    std::exit(2);
   }
 };
 
-/// Telemetry column of one cell (populated when the run passed --obs on an
-/// LOT_OBS=ON build; otherwise `enabled` stays false and neither the table
-/// nor the JSON emit it).
+/// Telemetry column of one cell (populated when the run passed --obs;
+/// otherwise `enabled` stays false and neither the table nor the JSON emit
+/// it).
 struct ObsCell {
   bool enabled = false;
   std::int64_t contains_restarts = 0;  // the derived audit over the cell
@@ -94,12 +110,11 @@ using Series = std::vector<Cell>;
 template <typename MapT>
 Series run_series(const workload::Spec& spec, const TableConfig& cfg) {
   Series out;
-  const bool obs_on = cfg.obs && obs::kEnabled;
   workload::Spec cell_spec = spec;
-  if (obs_on) cell_spec.latency_sample_every = cfg.obs_sample;
+  if (cfg.obs) cell_spec.latency_sample_every = cfg.obs_sample;
   for (const auto threads : cfg.threads) {
     Cell cell;
-    if (obs_on) obs::reset_latency_histograms();
+    if (cfg.obs) obs::reset_latency_histograms();
     const obs::Snapshot before = obs::Registry::instance().snapshot();
     for (int rep = 0; rep < cfg.repeats; ++rep) {
       MapT map;
@@ -109,7 +124,7 @@ Series run_series(const workload::Spec& spec, const TableConfig& cfg) {
           map, cell_spec, static_cast<unsigned>(threads), cfg.secs, seed + 1);
       cell.samples.push_back(r.mops_per_sec);
     }
-    if (obs_on) {
+    if (cfg.obs) {
       const obs::Snapshot after = obs::Registry::instance().snapshot();
       const auto d = [&](obs::Counter c) {
         return after.counter(c) - before.counter(c);
@@ -132,6 +147,13 @@ Series run_series(const workload::Spec& spec, const TableConfig& cfg) {
     cell.median = util::percentile(cell.samples, 50.0);
     cell.min = s.min;
     cell.max = s.max;
+    const std::string_view impl = MapT::name();
+    std::fprintf(stderr,
+                 "cell done: %.*s %s/%lld threads=%lld median=%.3f Mop/s\n",
+                 static_cast<int>(impl.size()), impl.data(),
+                 spec.name.c_str(), static_cast<long long>(spec.key_range),
+                 static_cast<long long>(threads), cell.median);
+    std::fflush(stderr);
     out.push_back(std::move(cell));
   }
   return out;

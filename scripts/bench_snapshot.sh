@@ -10,9 +10,10 @@
 #   BENCH_3.json — allocator/layout ablation (ablation_alloc)
 #   BENCH_4.json — range-scan ablation, tree vs skiplist over a
 #                  scan-length sweep (ablation_range)
-#   BENCH_5.json — observability overhead (ablation_obs), merged rows from
-#                  the default build (LOT_OBS=ON) and build-noobs/
-#                  (LOT_OBS=OFF); impl labels carry the build's obs state
+#   BENCH_5.json — observability overhead (ablation_obs): counters only vs
+#                  counters + 1-in-64 latency sampling (the committed file
+#                  also holds rows from a since-removed build with the
+#                  layer compiled out, labelled /obs=off)
 #   BENCH_6.json — restart ablation (ablation_restart): versioned-resume
 #                  write path vs pre-PR root restart vs resume without the
 #                  rotation throttle, uniform and Zipf(0.99) mixes, restart
@@ -27,9 +28,9 @@
 #                  per-shard isolation diagnostic in the stdout log
 #   BENCH_10.json — MVCC snapshot ablation (ablation_mvcc): weak vs
 #                  snapshot vs coarse-rwlock scans over the scan-length
-#                  sweep, plus the on-but-unused point-op rows merged from
-#                  the default build (LOT_MVCC=ON) and build-nomvcc/
-#                  (LOT_MVCC=OFF); impl labels carry the build's state
+#                  sweep (the committed file also holds on-but-unused
+#                  point-op rows from a since-removed build with the
+#                  layer compiled out, labelled /mvcc=on and /mvcc=off)
 #
 # Usage: scripts/bench_snapshot.sh [out.json]
 # The target ablation is picked from the output name; default BENCH_4.json.
@@ -56,33 +57,14 @@ esac
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)" --target "$TARGET" >/dev/null
 
-# Merges two lot-bench-v1 files by concatenating their rows arrays. The
-# schema is rigid (one row per line, fixed head/tail), so plain text
-# surgery is reliable and avoids a JSON-tool dependency.
-merge_rows() {  # merge_rows a.json b.json out.json
-  head -n 3 "$1" > "$3"
-  sed -n 's/^    {/    {/p' "$1" | sed '$s/}$/},/' >> "$3"
-  sed -n 's/^    {/    {/p' "$2" >> "$3"
-  printf '  ]\n}\n' >> "$3"
-}
-
 if [ "$TARGET" = ablation_alloc ]; then
   ./build/bench/ablation_alloc \
     --threads="$THREADS" --ranges=20000 \
     --secs="$SECS" --repeats="$REPEATS" --json="$OUT"
 elif [ "$TARGET" = ablation_obs ]; then
-  # A/B across build trees: the same binary from an LOT_OBS=ON and an
-  # LOT_OBS=OFF build, rows merged into one file (labels disambiguate).
-  cmake -B build-noobs -S . -DLOT_OBS=OFF >/dev/null
-  cmake --build build-noobs -j "$(nproc)" --target ablation_obs >/dev/null
   ./build/bench/ablation_obs \
     --threads="$THREADS" --ranges=20000 \
-    --secs="$SECS" --repeats="$REPEATS" --json="${OUT}.on.tmp"
-  ./build-noobs/bench/ablation_obs \
-    --threads="$THREADS" --ranges=20000 \
-    --secs="$SECS" --repeats="$REPEATS" --json="${OUT}.off.tmp"
-  merge_rows "${OUT}.on.tmp" "${OUT}.off.tmp" "$OUT"
-  rm -f "${OUT}.on.tmp" "${OUT}.off.tmp"
+    --secs="$SECS" --repeats="$REPEATS" --json="$OUT"
 elif [ "$TARGET" = ablation_restart ]; then
   ./build/bench/ablation_restart \
     --threads="$THREADS" --ranges=20000 \
@@ -96,19 +78,9 @@ elif [ "$TARGET" = ablation_shard ]; then
     --threads="$THREADS" --ranges=20000 \
     --secs="$SECS" --repeats="$REPEATS" --json="$OUT"
 elif [ "$TARGET" = ablation_mvcc ]; then
-  # A/B across build trees (the ablation_obs pattern): the scan-mechanism
-  # sweep only exists in the ON build; the OFF build contributes the
-  # "/mvcc=off" point-op rows for the on-but-unused overhead delta.
-  cmake -B build-nomvcc -S . -DLOT_MVCC=OFF >/dev/null
-  cmake --build build-nomvcc -j "$(nproc)" --target ablation_mvcc >/dev/null
   ./build/bench/ablation_mvcc \
     --threads="$THREADS" --ranges=20000 --scanlens=16,64,256 \
-    --secs="$SECS" --repeats="$REPEATS" --json="${OUT}.on.tmp"
-  ./build-nomvcc/bench/ablation_mvcc \
-    --threads="$THREADS" --ranges=20000 --scanlens=16,64,256 \
-    --secs="$SECS" --repeats="$REPEATS" --json="${OUT}.off.tmp"
-  merge_rows "${OUT}.on.tmp" "${OUT}.off.tmp" "$OUT"
-  rm -f "${OUT}.on.tmp" "${OUT}.off.tmp"
+    --secs="$SECS" --repeats="$REPEATS" --json="$OUT"
 else
   ./build/bench/ablation_range \
     --threads="$THREADS" --ranges=20000 --scanlens=16,64,256 \

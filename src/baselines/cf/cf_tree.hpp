@@ -12,12 +12,22 @@
 //
 // Reclamation: spliced and cloned-away nodes are retired via EBR by the
 // maintenance thread.
+//
+// Bulk reads (for_each, range, min/max, node counts) walk the raw tree, and
+// a rotation under a walk can show it a subtree twice (once through the
+// raised pivot's new clone, once through the old node it already passed),
+// so even a quiescent map listed duplicate and out-of-order keys. A bulk
+// read therefore holds `restructure_` shared; the maintenance thread takes
+// it exclusively around each splice or rotation and skips the step while a
+// bulk read runs. Point operations never touch it.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string_view>
 #include <thread>
 #include <type_traits>
@@ -115,6 +125,7 @@ class CfTreeMap {
 
   std::optional<std::pair<K, V>> min() const {
     auto g = domain_->guard();
+    std::shared_lock<std::shared_mutex> bulk(restructure_);
     std::optional<std::pair<K, V>> out;
     visit_until(root(), /*left=*/true, out);
     return out;
@@ -122,6 +133,7 @@ class CfTreeMap {
 
   std::optional<std::pair<K, V>> max() const {
     auto g = domain_->guard();
+    std::shared_lock<std::shared_mutex> bulk(restructure_);
     std::optional<std::pair<K, V>> out;
     visit_until(root(), /*left=*/false, out);
     return out;
@@ -130,6 +142,7 @@ class CfTreeMap {
   template <typename F>
   void for_each(F&& fn) const {
     auto g = domain_->guard();
+    std::shared_lock<std::shared_mutex> bulk(restructure_);
     visit(root(), fn);
   }
 
@@ -174,6 +187,7 @@ class CfTreeMap {
 
   std::size_t physical_nodes_slow() const {
     auto g = domain_->guard();
+    std::shared_lock<std::shared_mutex> bulk(restructure_);
     std::size_t n = 0;
     count_nodes(root(), n);
     return n;
@@ -293,6 +307,8 @@ class CfTreeMap {
   }
 
   bool try_splice(Node* parent, Node* node) {
+    std::unique_lock<std::shared_mutex> excl(restructure_, std::try_to_lock);
+    if (!excl.owns_lock()) return false;  // a bulk read is walking the tree
     std::lock_guard<sync::SpinLock> pg(parent->lock);
     std::lock_guard<sync::SpinLock> ng(node->lock);
     if (parent->removed.load(std::memory_order_relaxed) ||
@@ -318,6 +334,8 @@ class CfTreeMap {
   /// Copy-on-rotate: the node moving down is cloned so traversals parked
   /// on the original stay on a valid (frozen) fragment.
   bool try_rotate(Node* parent, Node* node, bool right_rotation) {
+    std::unique_lock<std::shared_mutex> excl(restructure_, std::try_to_lock);
+    if (!excl.owns_lock()) return false;  // a bulk read is walking the tree
     std::lock_guard<sync::SpinLock> pg(parent->lock);
     std::lock_guard<sync::SpinLock> ng(node->lock);
     if (parent->removed.load(std::memory_order_relaxed) ||
@@ -402,6 +420,7 @@ class CfTreeMap {
   reclaim::EbrDomain* domain_;
   Compare comp_;
   Node* root_holder_;
+  mutable std::shared_mutex restructure_;
   std::atomic<bool> stop_{false};
   std::thread maintenance_;
 };

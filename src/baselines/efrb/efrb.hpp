@@ -9,8 +9,13 @@
 // all operations are lock-free.
 //
 // Reclamation: the operation's *originator* (whose flag CAS committed the
-// operation exactly once) retires the unlinked nodes and the Info record;
-// helpers may still dereference them under their EBR guards.
+// operation exactly once) retires the unlinked nodes; helpers may still
+// dereference them under their EBR guards. An Info record stays reachable
+// as long as some update word holds it, so it is retired by whichever CAS
+// replaces its last CLEAN reference (every flag and mark CAS expects a
+// CLEAN word). Retiring it earlier would let its address be reused while a
+// searcher still holds the old word as a CAS expected value: an ABA that
+// flags a node whose children changed underneath.
 #pragma once
 
 #include <atomic>
@@ -75,17 +80,21 @@ class EfrbMap {
         continue;
       }
       Node* new_leaf = reclaim::make_counted<Node>(k, v, SentTag::kNone, true);
-      // New internal routes between the old leaf and the new one; the old
-      // leaf is reused as a child (EFRB reuses, no copy).
+      // New internal routes between a copy of the old leaf and the new one.
+      // The copy is what EFRB prescribes: the old leaf leaves the tree for
+      // good, so a late helper's child CAS expecting it can never succeed
+      // again after a delete promotes the sibling back into this slot.
+      Node* new_sibling = reclaim::make_counted<Node>(sr.l->key, sr.l->value,
+                                                      sr.l->tag, true);
       const bool new_goes_left = node_less(new_leaf, sr.l);
       Node* new_internal = reclaim::make_counted<Node>(
           K{}, V{}, SentTag::kNone, false);
       // Routing key = the larger of the two.
-      const Node* bigger = new_goes_left ? sr.l : new_leaf;
+      const Node* bigger = new_goes_left ? new_sibling : new_leaf;
       new_internal->set_routing_key(*bigger);
-      new_internal->left.store(new_goes_left ? new_leaf : sr.l,
+      new_internal->left.store(new_goes_left ? new_leaf : new_sibling,
                                std::memory_order_relaxed);
-      new_internal->right.store(new_goes_left ? sr.l : new_leaf,
+      new_internal->right.store(new_goes_left ? new_sibling : new_leaf,
                                 std::memory_order_relaxed);
       Info* op = reclaim::make_counted<Info>();
       op->type = Info::kInsert;
@@ -96,12 +105,14 @@ class EfrbMap {
       if (sr.p->update.compare_exchange_strong(
               expected, pack(op, State::kIFlag),
               std::memory_order_acq_rel)) {
+        retire_info(expected);
         help_insert(op);
-        domain_->retire(op);  // committed exactly once: originator retires
+        domain_->retire(sr.l);  // replaced by its copy; originator retires
         return true;
       }
-      reclaim::delete_counted(new_leaf);      // never published
-      reclaim::delete_counted(new_internal);  // never published
+      reclaim::delete_counted(new_leaf);  // none of these was published
+      reclaim::delete_counted(new_sibling);
+      reclaim::delete_counted(new_internal);
       reclaim::delete_counted(op);
       help(sr.p->update.load(std::memory_order_acquire));
     }
@@ -130,15 +141,14 @@ class EfrbMap {
       if (sr.gp->update.compare_exchange_strong(
               expected, pack(op, State::kDFlag),
               std::memory_order_acq_rel)) {
+        retire_info(expected);
         if (help_delete(op)) {
-          // Unlinked: p and l left the tree; retire them + the record.
+          // Unlinked: p and l left the tree; retire them.
           domain_->retire(sr.p);
           domain_->retire(sr.l);
-          domain_->retire(op);
           return true;
         }
-        domain_->retire(op);  // backtracked; helpers may still hold refs
-        continue;
+        continue;  // backtracked; the grandparent still holds op
       }
       reclaim::delete_counted(op);  // flag CAS failed: never published
       help(sr.gp->update.load(std::memory_order_acquire));
@@ -335,6 +345,12 @@ class EfrbMap {
     }
   }
 
+  // Called by the one CAS that replaced `clean`, the last word holding its
+  // Info (null before a node's first flag).
+  void retire_info(std::uintptr_t clean) {
+    if (Info* info = info_of(clean)) domain_->retire(info);
+  }
+
   void cas_child(Node* parent, Node* old_child, Node* new_child) {
     auto& slot = node_less(new_child, parent) ? parent->left : parent->right;
     Node* expected = old_child;
@@ -354,8 +370,12 @@ class EfrbMap {
     std::uintptr_t expected = op->pupdate;
     const std::uintptr_t marked = pack(op, State::kMark);
     if (op->parent->update.compare_exchange_strong(
-            expected, marked, std::memory_order_acq_rel) ||
-        expected == marked) {
+            expected, marked, std::memory_order_acq_rel)) {
+      retire_info(op->pupdate);
+      help_marked(op);
+      return true;
+    }
+    if (expected == marked) {
       help_marked(op);
       return true;
     }
@@ -414,6 +434,11 @@ class EfrbMap {
     if (!n->is_leaf) {
       destroy(n->left.load(std::memory_order_relaxed));
       destroy(n->right.load(std::memory_order_relaxed));
+      // A reachable node's update word holds the last reference to its
+      // Info (a marked parent holds one too, but it is already unlinked).
+      if (Info* info = info_of(n->update.load(std::memory_order_relaxed))) {
+        reclaim::delete_counted(info);
+      }
     }
     reclaim::delete_counted(n);
   }

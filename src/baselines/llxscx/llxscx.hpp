@@ -114,11 +114,16 @@ bool help_scx(ScxRecord<NodeT>* rec, reclaim::EbrDomain& domain);
 
 /// LLX. Helps any in-progress operation it runs into, then fails so the
 /// caller re-reads fresh state.
+/// The finalized flag is read *after* the record's state, as in Brown et
+/// al.'s LLX: a committing SCX finalizes its nodes before it publishes
+/// kCommitted, so an acquire load that sees kCommitted also sees the flag.
+/// Read first, the flag could predate the finalization and hand out a
+/// snapshot of a node that has already left the tree.
 template <typename NodeT>
 LlxResult<NodeT> llx(NodeT* node, reclaim::EbrDomain& domain) {
-  const bool marked = node->finalized.load(std::memory_order_acquire);
   ScxRecord<NodeT>* info = node->info.load(std::memory_order_acquire);
   const int state = info->state.load(std::memory_order_acquire);
+  const bool marked = node->finalized.load(std::memory_order_acquire);
   if ((state == ScxRecord<NodeT>::kCommitted ||
        state == ScxRecord<NodeT>::kAborted) &&
       !marked) {

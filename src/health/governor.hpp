@@ -27,19 +27,19 @@
 #include "health/state.hpp"
 #include "reclaim/ebr.hpp"
 
-#if !defined(LOT_DISABLE_HEALTH)
+// Kept after reclaim/ebr.hpp: this include order fixes the order in which
+// the inline functions they define are emitted, and so the code layout of
+// every binary that links the governor.
 #include <atomic>
 #include <mutex>
 #include <vector>
 
 #include "obs/counters.hpp"
 #include "sync/backoff.hpp"
-#endif
 
 namespace lot::health {
 
-/// What obs embeds in a Snapshot. Defined in both build flavours so
-/// obs/obs.hpp needs no gate of its own; the OFF build reports zeros.
+/// What obs embeds in a Snapshot.
 struct View {
   State state = State::kHealthy;
   std::uint64_t transitions = 0;
@@ -47,12 +47,10 @@ struct View {
   std::uint64_t contention_events = 0;
 };
 
-#if !defined(LOT_DISABLE_HEALTH)
-
 /// Entry thresholds per target state (index 0 → Pressured, 1 → Degraded,
 /// 2 → Critical); exit thresholds are entry/2. A value of UINT64_MAX
 /// disables that signal/level (the storm campaign's negative control sets
-/// everything unreachable to model the ungoverned build).
+/// everything unreachable to model an ungoverned process).
 ///
 /// The backlog defaults sit well above a healthy churning domain's
 /// steady state (~5-11k pending at 4-thread full-tilt churn with the
@@ -207,22 +205,5 @@ inline View view() {
   return View{current_state(), transition_count(), tick_count(),
               contention_events()};
 }
-
-#else  // LOT_DISABLE_HEALTH — empty types, empty inlines.
-
-/// Kept an empty type (tests/test_health.cpp static_asserts it) so an OFF
-/// build provably carries no governor state.
-struct Governor {};
-
-inline Governor& governor() {
-  static Governor g;
-  return g;
-}
-
-inline void maybe_sample_tick(reclaim::EbrDomain&) {}
-inline void writer_gate(reclaim::EbrDomain&) {}
-inline View view() { return View{}; }
-
-#endif  // LOT_DISABLE_HEALTH
 
 }  // namespace lot::health

@@ -12,7 +12,7 @@ namespace lot::lo {
 /// the schedule-perturbation hooks inside the update and rotation race
 /// windows (tests/stress/).
 template <typename K, typename V, typename Compare = std::less<K>,
-          typename Alloc = reclaim::DefaultNodeAlloc>
+          typename Alloc = reclaim::PoolNodeAlloc>
 using AvlMap = LoMap<K, V, Compare, /*Balanced=*/true, Alloc>;
 
 }  // namespace lot::lo

@@ -11,7 +11,7 @@ namespace lot::lo {
 /// LOT_SCHEDULE_PERTURB get the schedule-perturbation hooks inside the
 /// insert/remove/relocate race windows (tests/stress/).
 template <typename K, typename V, typename Compare = std::less<K>,
-          typename Alloc = reclaim::DefaultNodeAlloc>
+          typename Alloc = reclaim::PoolNodeAlloc>
 using BstMap = LoMap<K, V, Compare, /*Balanced=*/false, Alloc>;
 
 }  // namespace lot::lo

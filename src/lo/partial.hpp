@@ -29,7 +29,7 @@ namespace lot::lo {
 
 template <typename K, typename V, typename Compare = std::less<K>,
           bool Balanced = true,
-          typename Alloc = reclaim::DefaultNodeAlloc>
+          typename Alloc = reclaim::PoolNodeAlloc>
 class PartialMap : public LoCore<K, V, Compare, Balanced, Alloc,
                                  LogicalRemoving, PartialNode> {
   static_assert(std::is_trivially_copyable_v<V>,
@@ -49,12 +49,12 @@ class PartialMap : public LoCore<K, V, Compare, Balanced, Alloc,
 
 /// Table 1's "logical removing" AVL series.
 template <typename K, typename V, typename Compare = std::less<K>,
-          typename Alloc = reclaim::DefaultNodeAlloc>
+          typename Alloc = reclaim::PoolNodeAlloc>
 using PartialAvlMap = PartialMap<K, V, Compare, true, Alloc>;
 
 /// Table 2's "logical removing" BST series.
 template <typename K, typename V, typename Compare = std::less<K>,
-          typename Alloc = reclaim::DefaultNodeAlloc>
+          typename Alloc = reclaim::PoolNodeAlloc>
 using PartialBstMap = PartialMap<K, V, Compare, false, Alloc>;
 
 }  // namespace lot::lo

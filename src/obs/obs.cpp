@@ -30,11 +30,9 @@ Snapshot Registry::snapshot(const reclaim::EbrDomain* domain) const {
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     s.counters[i] = counter_total(static_cast<Counter>(i));
   }
-#if !defined(LOT_DISABLE_OBS)
   for (std::size_t i = 0; i < kOpKindCount; ++i) {
     s.latency[i] = latency_histogram(static_cast<OpKind>(i)).stats();
   }
-#endif
   const reclaim::EbrDomain& d =
       domain != nullptr ? *domain : reclaim::EbrDomain::global_domain();
   s.ebr = d.stats();
@@ -133,7 +131,8 @@ std::string Snapshot::to_text() const {
 std::string Snapshot::to_json() const {
   std::string out;
   out += "{\n  \"schema\": \"lot-obs-v1\",\n";
-  appendf(out, "  \"enabled\": %s,\n", kEnabled ? "true" : "false");
+  // Kept for lot-obs-v1 readers; the layer is always compiled in.
+  appendf(out, "  \"enabled\": %s,\n", "true");
   out += "  \"counters\": {";
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     appendf(out, "%s\"%s\": %" PRIu64, i == 0 ? "" : ", ",

@@ -189,8 +189,7 @@ SizePool& pool_for() {
 }
 
 /// Allocation policy threaded through LoMap/PartialMap: plain counted
-/// new/delete — the pre-pool behaviour, kept for A/B runs
-/// (LOT_POOL_ALLOC=OFF and the allocator ablation).
+/// new/delete — the pre-pool behaviour, kept for the allocator ablation.
 struct NewNodeAlloc {
   static constexpr std::string_view name() { return "new"; }
 
@@ -251,14 +250,5 @@ struct PoolNodeAlloc {
  private:
   SizePool* pool_ = nullptr;
 };
-
-/// What LoMap/PartialMap default to. LOT_POOL_ALLOC=OFF (CMake) defines
-/// LOT_DISABLE_POOL_ALLOC and restores plain new/delete everywhere, the
-/// A/B escape hatch for benchmarks and sanitizer bisection.
-#if defined(LOT_DISABLE_POOL_ALLOC)
-using DefaultNodeAlloc = NewNodeAlloc;
-#else
-using DefaultNodeAlloc = PoolNodeAlloc;
-#endif
 
 }  // namespace lot::reclaim

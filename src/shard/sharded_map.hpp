@@ -9,7 +9,7 @@
 //    (lo/rebalance.hpp HeatScope), so a hot shard sheds its own rotations
 //    without throttling cold shards — ROADMAP 2(c) closed at shard
 //    granularity;
-//  * a private SizePool (when the inner map's Alloc is pool-backed) —
+//  * a private SizePool (the inner map's Alloc must be pool-backed) —
 //    remote-free traffic and slab growth stay shard-local instead of all
 //    shards fighting over the per-type pool_for<T>() singleton's caches.
 //
@@ -39,7 +39,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -74,13 +73,6 @@ class ShardedMap {
   static constexpr bool kBalanced = MapT::kBalanced;
   static constexpr bool kLogicalRemoving = MapT::kLogicalRemoving;
 
-  /// True when the inner map's allocation policy accepts a per-instance
-  /// pool handle (reclaim::PoolNodeAlloc); plain new/delete policies get
-  /// no pool and simply share the heap.
-  static constexpr bool kPooledAlloc =
-      std::is_constructible_v<typename MapT::alloc_type,
-                              reclaim::SizePool&>;
-
   ShardedMap() : ShardedMap(key_compare()) {}
 
   explicit ShardedMap(key_compare comp) : comp_(std::move(comp)) {
@@ -88,12 +80,10 @@ class ShardedMap {
     for (unsigned i = 0; i < Shards; ++i) {
       shards_.push_back(std::make_unique<ShardSlot>(comp_));
     }
-#if !defined(LOT_DISABLE_MVCC)
     // One clock for all shards: per-shard version stamps and snapshot
     // cuts draw from the same totally-ordered source, which is what
     // makes the composite snapshot() below a single cut (DESIGN.md §16).
     for (auto& s : shards_) s->map.use_epoch_source(epoch_src_);
-#endif
   }
 
   ShardedMap(const ShardedMap&) = delete;
@@ -235,7 +225,6 @@ class ShardedMap {
 
   Cursor cursor() const { return Cursor(merge_from_start()); }
 
-#if !defined(LOT_DISABLE_MVCC)
   // --------------------------------------------------- composite snapshot
 
   /// One consistent cut of the WHOLE sharded map (DESIGN.md §16): every
@@ -342,7 +331,6 @@ class ShardedMap {
 
   /// The shared clock (tests: stamp-source identity across shards).
   lo::mvcc::EpochSource& epoch_source() const { return epoch_src_; }
-#endif  // !LOT_DISABLE_MVCC
 
   // ------------------------------------------------------- conveniences
 
@@ -389,8 +377,7 @@ class ShardedMap {
     return shards_[i]->domain;
   }
 
-  /// The shard's private pool, or nullptr for non-pooled allocation
-  /// policies (tests: per-shard slab accounting).
+  /// The shard's private pool (tests: per-shard slab accounting).
   reclaim::SizePool* shard_pool(std::size_t i) const {
     return shards_[i]->pool.get();
   }
@@ -416,25 +403,13 @@ class ShardedMap {
     MapT map;
 
     explicit ShardSlot(const key_compare& comp)
-        : pool(make_pool()), map(domain, comp, make_alloc(pool.get())) {}
+        : pool(make_pool()),
+          map(domain, comp, typename MapT::alloc_type(*pool)) {}
 
     static std::unique_ptr<reclaim::SizePool> make_pool() {
-      if constexpr (kPooledAlloc) {
-        using NodeT = typename MapT::NodeT;
-        return std::make_unique<reclaim::SizePool>(sizeof(NodeT),
-                                                   alignof(NodeT));
-      } else {
-        return nullptr;
-      }
-    }
-
-    static typename MapT::alloc_type make_alloc(reclaim::SizePool* pool) {
-      if constexpr (kPooledAlloc) {
-        return typename MapT::alloc_type(*pool);
-      } else {
-        (void)pool;
-        return typename MapT::alloc_type();
-      }
+      using NodeT = typename MapT::NodeT;
+      return std::make_unique<reclaim::SizePool>(sizeof(NodeT),
+                                                 alignof(NodeT));
     }
   };
 
@@ -460,12 +435,8 @@ class ShardedMap {
     return Merge(std::move(cursors), comp_);
   }
 
-  void note_point(std::size_t i) const {
-    if constexpr (obs::kEnabled) router_stats_.note_point(i);
-  }
-  void note_ordered(std::size_t i) const {
-    if constexpr (obs::kEnabled) router_stats_.note_ordered(i);
-  }
+  void note_point(std::size_t i) const { router_stats_.note_point(i); }
+  void note_ordered(std::size_t i) const { router_stats_.note_ordered(i); }
 
   key_compare comp_;
   // unique_ptr, not ShardSlot by value: slots hold a whole map, and the
@@ -473,12 +444,10 @@ class ShardedMap {
   std::vector<std::unique_ptr<ShardSlot>> shards_;
   // Mutable: reads (contains/get/min/...) count too.
   mutable RouterStats<Shards> router_stats_;
-#if !defined(LOT_DISABLE_MVCC)
   // Declared after shards_ so it outlives no shard during construction;
   // mutable because snapshot() is a read on a const map. Shards are
   // rebound to it in the constructor, before any op can run.
   mutable lo::mvcc::EpochSource epoch_src_;
-#endif
 };
 
 }  // namespace lot::shard

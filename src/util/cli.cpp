@@ -15,7 +15,7 @@ Cli::Cli(int argc, char** argv) {
     const auto eq = arg.find('=');
     if (eq == std::string::npos) {
       // Bare flag, e.g. --verbose
-      values_[arg.substr(2)] = "1";
+      values_[arg.substr(2)].assign(1, '1');
     } else {
       values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
     }

@@ -65,11 +65,11 @@ struct StressParams {
   std::uint32_t max_sleep_us = 60;
   bool prefill = true;              // recorded half-dense prefill
   unsigned scan_pct = 0;            // taken from the erase share's tail
-  // Snapshot scans (MVCC builds): also taken from the erase share, between
+  // Snapshot scans: also taken from the erase share, between
   // erase and the weak scans. Each draws a SnapshotView and records ONE
   // whole-scan observation (check/history.hpp) that the whole-scan checker
   // must explain at a single linearization point. On maps without
-  // snapshot() (or LOT_MVCC=OFF builds) the share falls back to erase.
+  // snapshot() the share falls back to erase.
   unsigned snapshot_pct = 0;
   std::int64_t scan_len = 12;       // keys spanned per recorded scan
   // Per-op chance (permille) of an unrecorded purge_all() burst racing the
@@ -228,8 +228,7 @@ StressOutcome<typename MapT::key_type> run_perturbed_stress(
             // Snapshot scan, recorded as ONE whole-scan observation: the
             // entire reported vector must hold at a single point within
             // the window. Falls back to erase when the map has no
-            // snapshot() (weak-scan / LOT_MVCC=OFF builds), keeping the
-            // op mix comparable across configurations.
+            // snapshot(), keeping the op mix comparable across maps.
             if constexpr (requires { map.snapshot(); }) {
               rec.record_snapshot_scan(
                   t, key, static_cast<K>(key + p.scan_len),
@@ -312,7 +311,7 @@ StressOutcome<typename MapT::key_type> run_perturbed_stress(
 /// recorded history, with zero tolerance: every operation the checker saw
 /// must have been counted exactly once by the tree's own telemetry, and —
 /// the paper's §4 claim, audited under schedule perturbation — contains
-/// must never have restarted a descent. No-op in LOT_OBS=OFF builds.
+/// must never have restarted a descent.
 ///
 /// `scan_len` must match the StressParams the run used: the recorder
 /// decomposes each range scan into exactly scan_len per-key contains
@@ -321,7 +320,6 @@ StressOutcome<typename MapT::key_type> run_perturbed_stress(
 template <typename KeyT>
 void expect_obs_reconciles(const StressOutcome<KeyT>& out,
                            std::int64_t scan_len) {
-  if (!obs::kEnabled) return;
   std::uint64_t ins = 0, ins_ok = 0, rem = 0, rem_ok = 0;
   std::uint64_t con = 0, con_ok = 0;
   for (const auto& e : out.history) {

@@ -157,15 +157,11 @@ void run_fault_campaign(const FaultParams& p) {
                                       : inject::Site::kLoInsertAlloc;
     EXPECT_GT(inject::fires(alloc_site), 0u);
     // Pool-site faults (slab exhaustion inside Alloc::create) surface as
-    // the same caught bad_alloc; in LOT_POOL_ALLOC=OFF builds the site
-    // never fires and this reduces to the pre-pool equation.
+    // the same caught bad_alloc.
     EXPECT_EQ(inject::fires(alloc_site) +
                   inject::fires(inject::Site::kPoolAlloc),
               survived_oom.load());
-    if (std::is_same_v<lot::reclaim::DefaultNodeAlloc,
-                       lot::reclaim::PoolNodeAlloc>) {
-      EXPECT_GT(inject::fires(inject::Site::kPoolAlloc), 0u);
-    }
+    EXPECT_GT(inject::fires(inject::Site::kPoolAlloc), 0u);
     EXPECT_GT(inject::fires(inject::Site::kGuardStallReader) +
                   inject::fires(inject::Site::kGuardStallWriter),
               0u);

@@ -131,12 +131,12 @@ TYPED_TEST(LoScanStress, PerturbedScanChurnIsLinearizable) {
   lot::stress::expect_obs_reconciles(out, p.scan_len);
 
   // The scans must actually have been perturbed mid-walk; with ~5760
-  // kRangeStep probes per run even the scaled-down tsan twin hits this
+  // kRangeStep probes per run even the scaled-down tsan preset hits this
   // hundreds of times.
   EXPECT_GT(lot::check::perturb_hits(PerturbPoint::kRangeStep), 0u);
   // The rarer write-side hooks (a relocation fires on a successful
   // two-children erase only — tens of expected hits at full scale) are
-  // asserted only in the full-fat build: the tsan twin's
+  // asserted only in the full-fat build: the tsan preset's
   // LOT_STRESS_DIVISOR=20 run is small enough for an unlucky schedule to
   // legitimately land zero hits.
   if (LOT_STRESS_DIVISOR == 1) {

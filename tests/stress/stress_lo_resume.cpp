@@ -75,9 +75,10 @@ TYPED_TEST(LoResumeStress, PerturbedCaptureWindowChurnIsLinearizable) {
   const auto d = [&](Counter c) {
     return out.obs_after.counter(c) - out.obs_before.counter(c);
   };
-  // The scaled-down tsan twin can legitimately land too few collisions for
-  // a resume; the full-fat build cannot — with 8 writers on 192 keys and a
-  // widened window, failed validations are guaranteed traffic.
+  // The scaled-down sanitizer runs can legitimately land too few
+  // collisions for a resume; the full-fat build cannot — with 8 writers on
+  // 192 keys and a widened window, failed validations are guaranteed
+  // traffic.
   if (LOT_STRESS_DIVISOR == 1) {
     EXPECT_GT(d(Counter::kLocateResumes), 0u)
         << "no failed validation ever resumed in place — the versioned "

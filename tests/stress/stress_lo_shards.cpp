@@ -55,7 +55,6 @@ template <typename KeyT>
 void expect_sharded_obs_reconciles(
     const lot::stress::StressOutcome<KeyT>& out, std::int64_t scan_len,
     unsigned shards) {
-  if (!lot::obs::kEnabled) return;
   std::uint64_t ins = 0, ins_ok = 0, rem = 0, rem_ok = 0;
   std::uint64_t con = 0, con_ok = 0;
   for (const auto& e : out.history) {
@@ -169,7 +168,6 @@ TYPED_TEST(LoShardStress, PerturbedShardedChurnIsLinearizable) {
   }
 }
 
-#if !defined(LOT_DISABLE_MVCC)
 // Composite snapshot scans through the router, each recorded as ONE
 // whole-scan observation and held to single-point atomicity
 // (check_snapshot_scans). key_range=320 covers five 64-key blocks — every
@@ -205,15 +203,12 @@ TYPED_TEST(LoShardStress, PerturbedShardedSnapshotScansAreAtomic) {
   EXPECT_GT(straddling, 0u) << "no snapshot scan reported keys of two shards";
   // The composite snapshot is the only ordered op in this mix: it enters
   // every shard exactly once per recorded scan.
-  if (lot::obs::kEnabled) {
-    for (unsigned i = 0; i < TypeParam::shard_count(); ++i) {
-      EXPECT_EQ(map.shard_stats(i).ordered_ops, out.scans.size())
-          << "shard " << i;
-    }
+  for (unsigned i = 0; i < TypeParam::shard_count(); ++i) {
+    EXPECT_EQ(map.shard_stats(i).ordered_ops, out.scans.size())
+        << "shard " << i;
   }
   EXPECT_GT(lot::check::perturb_hits(PerturbPoint::kRangeStep), 0u);
 }
-#endif  // !LOT_DISABLE_MVCC
 
 // The degenerate configuration: shards=1 behind the router must pass the
 // exact acceptance campaign the unsharded tree passes (mixed churn, three

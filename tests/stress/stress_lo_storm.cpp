@@ -20,16 +20,11 @@
 //
 // The negative control (GovernorPoliciesOffViolatesRecoveryBound) runs the
 // same weather with the degradation policies disabled and the thresholds
-// unreachable — the ungoverned build, as a runtime arm so both come from
+// unreachable — an ungoverned process, as a runtime arm so both come from
 // one binary. The tree still survives (linearizable: the governor is a
 // performance/robustness layer, never a correctness dependency), but the
 // backlog does NOT collapse within the recovery bound: the difference the
 // governor makes, stated as a test.
-//
-// In a -DLOT_HEALTH=OFF build the governor does not exist; this file then
-// registers only the survival half (OffBuildSurvivesStorm): same weather,
-// same linearizability + reconciliation + leak assertions, manual cleanup
-// where the governed build would have recovered on its own.
 //
 // Obs reconciliation under faults: an insert killed by an injected
 // bad_alloc records no history event. The on-time policy allocates before
@@ -102,8 +97,6 @@ inject::StormSpec storm_spec(const StormParams& p) {
   return s;
 }
 
-#if !defined(LOT_DISABLE_HEALTH)
-
 using lot::health::governor;
 
 /// Storm thresholds: reachable by one test-sized run (the defaults are
@@ -132,25 +125,6 @@ void configure_governor(const StormParams& p) {
                                        : unreachable_thresholds());
   lot::health::set_policies_enabled(p.governed);
 }
-
-State sample_governor(lot::reclaim::EbrDomain& domain) {
-  return governor().sample(domain);
-}
-
-std::uint32_t recovery_bound_ticks() { return governor().recovery_bound(); }
-
-void teardown_governor() { governor().reset(); }
-
-#else  // LOT_DISABLE_HEALTH — no governor; the campaign reduces to the
-       // survival half with a fixed stand-in bound for the (ungoverned)
-       // backlog-freeze observation.
-
-void configure_governor(const StormParams&) {}
-State sample_governor(lot::reclaim::EbrDomain&) { return State::kHealthy; }
-std::uint32_t recovery_bound_ticks() { return 10; }
-void teardown_governor() {}
-
-#endif  // LOT_DISABLE_HEALTH
 
 template <typename MapT>
 void run_storm_campaign(const StormParams& p) {
@@ -204,7 +178,7 @@ void run_storm_campaign(const StormParams& p) {
     std::atomic<std::uint8_t> max_state{0};
     std::thread ticker([&] {
       while (!stop_ticker.load()) {
-        const auto st = static_cast<std::uint8_t>(sample_governor(domain));
+        const auto st = static_cast<std::uint8_t>(governor().sample(domain));
         std::uint8_t seen = max_state.load();
         while (st > seen && !max_state.compare_exchange_weak(seen, st)) {
         }
@@ -280,30 +254,27 @@ void run_storm_campaign(const StormParams& p) {
     // watchdog are exactly what the governor exists to see.
     EXPECT_GE(domain.pending_retired(), p.high_water)
         << "the straggler should have frozen a backlog past the mark";
-    sample_governor(domain);
-#if !defined(LOT_DISABLE_HEALTH)
+    governor().sample(domain);
     if (p.governed) {
       EXPECT_GE(governor().state(), State::kDegraded)
           << "governor never reacted to the storm";
       EXPECT_GE(static_cast<State>(max_state.load()), State::kDegraded);
       EXPECT_GE(governor().transitions(), 1u);
     }
-#endif
 
     // ---- recovery ----------------------------------------------------
     straggler_release = true;
     straggler.join();
 
-    const std::uint32_t bound = recovery_bound_ticks();
+    const std::uint32_t bound = governor().recovery_bound();
     std::uint32_t ticks_used = 0;
     for (; ticks_used < bound; ++ticks_used) {
-      const State st = sample_governor(domain);
+      const State st = governor().sample(domain);
       if (st == State::kHealthy && domain.pending_retired() < p.high_water) {
         break;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-#if !defined(LOT_DISABLE_HEALTH)
     if (p.governed) {
       EXPECT_LT(ticks_used, bound)
           << "governor failed its documented recovery bound";
@@ -316,10 +287,8 @@ void run_storm_campaign(const StormParams& p) {
           ticks_used, bound,
           lot::health::state_name(static_cast<State>(max_state.load())),
           static_cast<unsigned long long>(survived_oom.load()));
-    } else
-#endif
-    {
-      // The ungoverned arm (policies off, or the OFF build): no boosted
+    } else {
+      // The ungoverned arm (policies off): no boosted
       // drain exists, so the backlog sits frozen past the mark after the
       // same bound — the recovery property the governed arms prove is
       // violated without the governor.
@@ -347,63 +316,61 @@ void run_storm_campaign(const StormParams& p) {
                                    out);
 
     // ---- obs reconciliation (exact, faults included) -----------------
-    if (lot::obs::kEnabled) {
-      std::uint64_t ins = 0, ins_ok = 0, rem = 0, rem_ok = 0;
-      std::uint64_t con = 0, con_ok = 0;
-      for (const auto& e : out.history) {
-        switch (e.op) {
-          case lot::check::Op::kInsert:
-            ++ins;
-            ins_ok += e.result ? 1 : 0;
-            break;
-          case lot::check::Op::kRemove:
-            ++rem;
-            rem_ok += e.result ? 1 : 0;
-            break;
-          case lot::check::Op::kContains:
-            ++con;
-            con_ok += e.result ? 1 : 0;
-            break;
-          case lot::check::Op::kScan:
-            break;  // whole-scan observations never land in the event log
-        }
+    std::uint64_t ins = 0, ins_ok = 0, rem = 0, rem_ok = 0;
+    std::uint64_t con = 0, con_ok = 0;
+    for (const auto& e : out.history) {
+      switch (e.op) {
+        case lot::check::Op::kInsert:
+          ++ins;
+          ins_ok += e.result ? 1 : 0;
+          break;
+        case lot::check::Op::kRemove:
+          ++rem;
+          rem_ok += e.result ? 1 : 0;
+          break;
+        case lot::check::Op::kContains:
+          ++con;
+          con_ok += e.result ? 1 : 0;
+          break;
+        case lot::check::Op::kScan:
+          break;  // whole-scan observations never land in the event log
       }
-      using lot::obs::Counter;
-      const auto d = [&](Counter c) {
-        return out.obs_after.counter(c) - out.obs_before.counter(c);
-      };
-      // A faulted insert never reached its op counter, and the recorder
-      // recorded nothing for it: history and counters agree exactly.
-      EXPECT_EQ(d(Counter::kInsertOps), ins) << "insert ops vs history";
-      EXPECT_EQ(d(Counter::kInsertSuccess), ins_ok) << "insert successes";
-      EXPECT_EQ(d(Counter::kEraseOps), rem) << "erase ops vs history";
-      EXPECT_EQ(d(Counter::kEraseSuccess), rem_ok) << "erase successes";
-      EXPECT_EQ(d(Counter::kContainsOps), con) << "contains ops vs history";
-      EXPECT_EQ(d(Counter::kContainsHits), con_ok) << "contains hits";
-      // The paper's read-side claim survives the storm: no read path ever
-      // re-descended, with every abandoned write descent paid for by a
-      // restart count (including the lazy-alloc unwind's).
-      EXPECT_EQ(lot::obs::Snapshot::contains_restarts_between(out.obs_before,
-                                                              out.obs_after),
-                0)
-          << "a read path re-descended the tree during the storm";
-      // Write-side restart audit, storm-adjusted (header comment): lazy
-      // variants count one restart per escaped insert bad_alloc with no
-      // matching fallback.
-      const std::uint64_t adjustment =
-          p.lazy_insert_alloc ? survived_oom.load() : 0;
-      EXPECT_EQ(d(Counter::kValidationFallbacks) + adjustment,
-                d(Counter::kInsertRestarts) + d(Counter::kEraseRestarts))
-          << "fallbacks vs restarts diverged (adjustment=" << adjustment
-          << ")";
     }
+    using lot::obs::Counter;
+    const auto d = [&](Counter c) {
+      return out.obs_after.counter(c) - out.obs_before.counter(c);
+    };
+    // A faulted insert never reached its op counter, and the recorder
+    // recorded nothing for it: history and counters agree exactly.
+    EXPECT_EQ(d(Counter::kInsertOps), ins) << "insert ops vs history";
+    EXPECT_EQ(d(Counter::kInsertSuccess), ins_ok) << "insert successes";
+    EXPECT_EQ(d(Counter::kEraseOps), rem) << "erase ops vs history";
+    EXPECT_EQ(d(Counter::kEraseSuccess), rem_ok) << "erase successes";
+    EXPECT_EQ(d(Counter::kContainsOps), con) << "contains ops vs history";
+    EXPECT_EQ(d(Counter::kContainsHits), con_ok) << "contains hits";
+    // The paper's read-side claim survives the storm: no read path ever
+    // re-descended, with every abandoned write descent paid for by a
+    // restart count (including the lazy-alloc unwind's).
+    EXPECT_EQ(lot::obs::Snapshot::contains_restarts_between(out.obs_before,
+                                                            out.obs_after),
+              0)
+        << "a read path re-descended the tree during the storm";
+    // Write-side restart audit, storm-adjusted (header comment): lazy
+    // variants count one restart per escaped insert bad_alloc with no
+    // matching fallback.
+    const std::uint64_t adjustment =
+        p.lazy_insert_alloc ? survived_oom.load() : 0;
+    EXPECT_EQ(d(Counter::kValidationFallbacks) + adjustment,
+              d(Counter::kInsertRestarts) + d(Counter::kEraseRestarts))
+        << "fallbacks vs restarts diverged (adjustment=" << adjustment
+        << ")";
 
     domain.flush();
     domain.flush();
     const auto stats = domain.stats();
     EXPECT_EQ(stats.emergency_leaks, 0u);
     EXPECT_EQ(domain.pending_retired(), 0u);
-    teardown_governor();
+    governor().reset();
   }
   EXPECT_EQ(AllocStats::live(), live_before) << "node leak across the storm";
 }
@@ -412,8 +379,6 @@ using LoBst =
     lot::lo::LoMap<std::int64_t, std::int64_t, std::less<std::int64_t>, false>;
 using LoAvl =
     lot::lo::LoMap<std::int64_t, std::int64_t, std::less<std::int64_t>, true>;
-
-#if !defined(LOT_DISABLE_HEALTH)
 
 TEST(LoStormStress, BstRecoversFromStorm) {
   StormParams p;
@@ -442,7 +407,7 @@ TEST(LoStormStress, PartialAvlRecoversFromStorm) {
 }
 
 // Negative control: same weather, policies off and thresholds unreachable
-// (the ungoverned build as a runtime arm). The tree itself must still be
+// (an ungoverned process as a runtime arm). The tree itself must still be
 // correct — the governor is never a correctness dependency — but the
 // recovery property the governed arms prove is violated.
 TEST(LoStormStress, GovernorPoliciesOffViolatesRecoveryBound) {
@@ -450,17 +415,5 @@ TEST(LoStormStress, GovernorPoliciesOffViolatesRecoveryBound) {
   p.governed = false;
   run_storm_campaign<LoBst>(p);
 }
-
-#else  // LOT_DISABLE_HEALTH
-
-// The compile-out build still has to ride out the same weather — the
-// governor is an optimization, never a correctness layer.
-TEST(LoStormStress, OffBuildSurvivesStorm) {
-  StormParams p;
-  p.governed = false;
-  run_storm_campaign<LoBst>(p);
-}
-
-#endif  // LOT_DISABLE_HEALTH
 
 }  // namespace

@@ -16,8 +16,8 @@
 #include "sync/barrier.hpp"
 #include "util/random.hpp"
 
-// Instrumented duplicates of this binary (the *_tsan targets in
-// tests/CMakeLists.txt) define LOT_STRESS_DIVISOR ~ 20: ThreadSanitizer
+// The sanitizer presets (CMakePresets.json) define LOT_STRESS_DIVISOR
+// ~ 10-20: ThreadSanitizer
 // costs an order of magnitude in throughput, and the interleavings it
 // checks do not need as many iterations to surface.
 #ifndef LOT_STRESS_DIVISOR

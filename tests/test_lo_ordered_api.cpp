@@ -10,7 +10,6 @@
 #include <optional>
 #include <set>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -545,32 +544,7 @@ TYPED_TEST(OrderedApiTest, NextChainMonotoneUnderChurn) {
 
 // ------------------------------------------------------------- snapshots
 //
-// MVCC snapshot views (DESIGN.md §16). LOT_MVCC=OFF keeps the pre-MVCC
-// weak-scan contract bit-for-bit: the scaffolding collapses to empty
-// stand-ins exactly like the LOT_OBS / LOT_HEALTH off-gates, the node
-// sheds its stamp fields, and snapshot() disappears from the API.
-
-#if defined(LOT_DISABLE_MVCC)
-
-static_assert(!lot::lo::mvcc::kEnabled);
-static_assert(std::is_empty_v<lot::lo::mvcc::EpochSource>,
-              "MVCC-off epoch source must stay an empty type");
-static_assert(std::is_empty_v<lot::lo::mvcc::SnapshotRegistry>,
-              "MVCC-off snapshot registry must stay an empty type");
-static_assert(
-    std::is_empty_v<lot::lo::mvcc::LimboList<int>>,
-    "MVCC-off limbo list must stay an empty type");
-// And snapshot() itself must be compiled out, not stubbed.
-template <typename M>
-concept HasSnapshot = requires(const M& m) { m.snapshot(); };
-static_assert(!HasSnapshot<PartialAvlMap<K, V>>,
-              "MVCC-off maps must not expose snapshot()");
-static_assert(!HasSnapshot<lot::shard::ShardedMap<PartialAvlMap<K, V>, 4>>,
-              "MVCC-off sharded maps must not expose snapshot()");
-
-#else  // MVCC on
-
-static_assert(lot::lo::mvcc::kEnabled);
+// MVCC snapshot views (DESIGN.md §16).
 
 // A snapshot is an immutable cut: writes landing after the cut — erases,
 // fresh inserts, revives — never leak into the view, while the live map
@@ -755,7 +729,9 @@ std::uint64_t bounded_snapshot_scan_walks(K n_keys) {
   EXPECT_TRUE(m.insert(kParkedOut, kParkedOut));
   const auto snap = m.snapshot();
   for (K k = 0; k < n_keys; ++k) {
-    if (k != kParkedIn && k != kParkedOut) EXPECT_TRUE(m.insert(k, k));
+    if (k != kParkedIn && k != kParkedOut) {
+      EXPECT_TRUE(m.insert(k, k));
+    }
   }
   EXPECT_TRUE(m.erase(kParkedIn));
   EXPECT_TRUE(m.erase(kParkedOut));
@@ -777,13 +753,9 @@ std::uint64_t bounded_snapshot_scan_walks(K n_keys) {
 TEST(ShardedSnapshotTest, BoundedRangeCostIsIndependentOfMapSize) {
   const std::uint64_t small = bounded_snapshot_scan_walks(2'000);
   const std::uint64_t large = bounded_snapshot_scan_walks(200'000);
-  if (lot::obs::kEnabled) {
-    // 128 keys in [lo, hi), one of them erased off the chain.
-    EXPECT_EQ(small, 127u);
-    EXPECT_EQ(large, small) << "the scan's cost grew with the map";
-  }
+  // 128 keys in [lo, hi), one of them erased off the chain.
+  EXPECT_EQ(small, 127u);
+  EXPECT_EQ(large, small) << "the scan's cost grew with the map";
 }
-
-#endif  // LOT_DISABLE_MVCC
 
 }  // namespace

@@ -5,10 +5,7 @@
 // strict AVL bound at quiescence. These tests drive the throttle
 // deterministically through the set_contention_heat() hook (single-threaded,
 // 1-core-CI-safe), pin the runtime knob's semantics, and prove quiescent
-// convergence after genuinely contended churn. The whole file stays
-// meaningful in -DLOT_REBALANCE_THROTTLE=OFF builds: every branch checks
-// kRebalanceThrottleCompiled and asserts the unconditional-rotation
-// behavior instead.
+// convergence after genuinely contended churn.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -56,26 +53,19 @@ TEST(RebalanceThrottle, HotWriterDefersAndRepairConverges) {
   const auto obs1 = lot::obs::Registry::instance().snapshot();
   detail::reset_contention_heat();
 
-  // BST shape, chain, and height *bookkeeping* are intact either way —
-  // deferral postpones repairs, never correctness.
+  // BST shape, chain, and height *bookkeeping* are intact — deferral
+  // postpones repairs, never correctness.
   const auto loose = lot::lo::validate(m, /*check_heights=*/false);
   ASSERT_TRUE(loose.ok) << loose.to_string();
 
-  if constexpr (detail::kRebalanceThrottleCompiled) {
-    const auto strict_before = lot::lo::validate(m, /*check_heights=*/true);
-    EXPECT_FALSE(strict_before.ok)
-        << "a sorted fill with every rotation deferred cannot satisfy the "
-           "strict AVL bound — the throttle never engaged";
-#if !defined(LOT_DISABLE_OBS)
-    EXPECT_GT(obs1.counter(lot::obs::Counter::kRotationsDeferred) -
-                  obs0.counter(lot::obs::Counter::kRotationsDeferred),
-              0u);
-#endif
-    EXPECT_GT(m.repair_balance(), 0u);
-  } else {
-    // Compiled out: rotations ran unconditionally despite the pinned heat.
-    EXPECT_EQ(m.repair_balance(), 0u);
-  }
+  const auto strict_before = lot::lo::validate(m, /*check_heights=*/true);
+  EXPECT_FALSE(strict_before.ok)
+      << "a sorted fill with every rotation deferred cannot satisfy the "
+         "strict AVL bound — the throttle never engaged";
+  EXPECT_GT(obs1.counter(lot::obs::Counter::kRotationsDeferred) -
+                obs0.counter(lot::obs::Counter::kRotationsDeferred),
+            0u);
+  EXPECT_GT(m.repair_balance(), 0u);
 
   const auto strict = lot::lo::validate(m, /*check_heights=*/true);
   EXPECT_TRUE(strict.ok) << strict.to_string();
@@ -105,9 +95,6 @@ TEST(RebalanceThrottle, RuntimeKnobOffRotatesUnconditionally) {
 // rotating on its own — the throttle is adaptive, not a latch.
 TEST(RebalanceThrottle, HeatCoolsWithProgress) {
   ThrottleStateGuard guard;
-  if constexpr (!detail::kRebalanceThrottleCompiled) {
-    GTEST_SKIP() << "throttle compiled out (LOT_REBALANCE_THROTTLE=OFF)";
-  }
   AvlMap<K, V> m;
   // Just above the threshold: the first climbs defer, but every climb
   // iteration cools by one, so well before the fill ends the thread is

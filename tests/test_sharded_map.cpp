@@ -49,15 +49,6 @@ static_assert(lot::adapters::OrderedMap<ShardedMap<AvlMap<K, V>, 4>>);
 static_assert(lot::adapters::OrderedMap<ShardedMap<PartialBstMap<K, V>, 8>>);
 static_assert(lot::adapters::OrderedMap<ShardedMap<PartialAvlMap<K, V>, 2>>);
 
-// The default LO allocation policy is the slab pool, so the sharded layer
-// must detect it and give every shard a private pool — except in the
-// LOT_POOL_ALLOC=OFF escape-hatch build, where shards share the heap.
-#if !defined(LOT_DISABLE_POOL_ALLOC)
-static_assert(ShardedMap<AvlMap<K, V>, 4>::kPooledAlloc);
-#else
-static_assert(!ShardedMap<AvlMap<K, V>, 4>::kPooledAlloc);
-#endif
-
 template <typename MapT>
 class ShardedMapTest : public ::testing::Test {};
 
@@ -93,11 +84,9 @@ TYPED_TEST(ShardedMapTest, PointOpsRouteAndReconcile) {
   }
   // Router telemetry reconciles exactly: every point op counted once, on
   // the one shard it routed to.
-  if (lot::obs::kEnabled) {
-    for (unsigned i = 0; i < TypeParam::shard_count(); ++i) {
-      EXPECT_EQ(m.shard_stats(i).point_ops, expected_per_shard[i])
-          << "shard " << i;
-    }
+  for (unsigned i = 0; i < TypeParam::shard_count(); ++i) {
+    EXPECT_EQ(m.shard_stats(i).point_ops, expected_per_shard[i])
+        << "shard " << i;
   }
 }
 
@@ -200,13 +189,9 @@ TYPED_TEST(ShardedMapTest, PerShardReclamationUniverses) {
   for (unsigned i = 0; i < TypeParam::shard_count(); ++i) {
     EXPECT_TRUE(uids.insert(m.shard_domain(i).uid()).second)
         << "shard " << i << " shares a domain";
-    if constexpr (TypeParam::kPooledAlloc) {
-      ASSERT_NE(m.shard_pool(i), nullptr);
-      for (unsigned j = 0; j < i; ++j) {
-        EXPECT_NE(m.shard_pool(i), m.shard_pool(j));
-      }
-    } else {
-      EXPECT_EQ(m.shard_pool(i), nullptr);  // new/delete build: no pool
+    ASSERT_NE(m.shard_pool(i), nullptr);
+    for (unsigned j = 0; j < i; ++j) {
+      EXPECT_NE(m.shard_pool(i), m.shard_pool(j));
     }
   }
   // Each shard's retire traffic lands in its own domain: churn one shard's
@@ -373,7 +358,6 @@ TEST(ShardedMapConcurrent, MergedScanStaysSortedUnderChurn) {
 // composite snapshots concurrently, and every shard's point/ordered count
 // must come out exact at quiescence.
 TEST(ShardedMapConcurrent, RouterCountsStayExactUnderConcurrency) {
-  if (!lot::obs::kEnabled) GTEST_SKIP() << "router stats are obs-gated";
   using Sharded = ShardedMap<AvlMap<K, V>, 4>;
   Sharded m;
   constexpr unsigned kThreads = 4;
@@ -394,13 +378,11 @@ TEST(ShardedMapConcurrent, RouterCountsStayExactUnderConcurrency) {
           case 2: m.contains(k); break;
           default: m.get(k); break;
         }
-#if !defined(LOT_DISABLE_MVCC)
         if (i % kSnapshotEvery == 0) {
           const auto snap = m.snapshot();
           snap.range(k, k + 96, [](const K&, const V&) {});
           ++snapshots[t];
         }
-#endif
       }
     });
   }

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "baselines/coarse/coarse_map.hpp"
+#include "bench/common.hpp"
 #include "lo/avl.hpp"
+#include "util/cli.hpp"
 #include "workload/driver.hpp"
 #include "workload/spec.hpp"
 
@@ -81,6 +84,35 @@ TEST(WorkloadDriver, MixedTrialHoldsSteadyState) {
   const auto size = map.size_slow();
   EXPECT_GT(size, 700u);
   EXPECT_LT(size, 1'300u);
+}
+
+// Bench flags are parsed before any thread starts, so a zero or negative
+// count must exit there (code 2) rather than reach workload::prefill.
+lot::bench::TableConfig parse_table_flags(std::vector<const char*> args) {
+  args.insert(args.begin(), "bench");
+  lot::util::Cli cli(static_cast<int>(args.size()),
+                     const_cast<char**>(args.data()));
+  return lot::bench::TableConfig::from_cli(cli);
+}
+
+TEST(BenchConfig, RejectsNonPositiveCounts) {
+  using ::testing::ExitedWithCode;
+  EXPECT_EXIT(parse_table_flags({"--threads=0"}), ExitedWithCode(2),
+              "--threads");
+  EXPECT_EXIT(parse_table_flags({"--threads=1,-4"}), ExitedWithCode(2),
+              "--threads");
+  EXPECT_EXIT(parse_table_flags({"--ranges=-1"}), ExitedWithCode(2),
+              "--ranges");
+  EXPECT_EXIT(parse_table_flags({"--repeats=0"}), ExitedWithCode(2),
+              "--repeats");
+}
+
+TEST(BenchConfig, AcceptsPositiveCounts) {
+  const auto cfg =
+      parse_table_flags({"--threads=1,2", "--ranges=100", "--repeats=3"});
+  EXPECT_EQ(cfg.threads, (std::vector<std::int64_t>{1, 2}));
+  EXPECT_EQ(cfg.key_ranges, (std::vector<std::int64_t>{100}));
+  EXPECT_EQ(cfg.repeats, 3);
 }
 
 }  // namespace
